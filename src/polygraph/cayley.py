@@ -6,18 +6,22 @@ one edge g -> normalize(g·x) per vertex and generator, and one disk per
 Deterministic ordering throughout (shortlex vertices, declaration-order
 generators and relations) keeps exports byte-stable and diffable.
 
-Homology of the complex is computed with exact integer Smith normal form;
-for the presentations this package targets the complex has one connected
-component and trivial first homology, and the tests assert exactly that.
+Homology of the complex comes from one spanning forest of the graph: its
+component count is H0, and each face's entries on the non-tree edges are
+its coordinates over the fundamental cycles, so H1 is a single Smith normal
+form of that cotree-by-face matrix.  For the presentations this package
+targets the complex has one connected component and trivial first homology,
+and the tests assert exactly that.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InfiniteOrUnknown, InternalError, UnknownGenerator
-from .homology import kernel_basis, kernel_coordinates, quotient_invariants
+from .homology import quotient_invariants
 from .model import Polygraph
 from .rewriting import Finite, RewritingSystem, enumerate_normal_forms, normalize_bytes
 from .words import Word
@@ -129,13 +133,15 @@ def build_graph(p: Polygraph, system: RewritingSystem, cap: int = 10000) -> Cayl
     return CayleyGraph(vertices=tuple(words), edges=tuple(edges), gens=tuple(p.gens))
 
 
-def graph_invariants(g: CayleyGraph) -> GraphInvariants:
-    """Undirected connectivity and the independent-loop count E - V + c."""
-    v, e = len(g.vertices), len(g.edges)
-    adjacency: list[list[int]] = [[] for _ in range(v)]
-    for edge in g.edges:
-        adjacency[edge.src].append(edge.dst)
-        adjacency[edge.dst].append(edge.src)
+def _spanning_forest(g: CayleyGraph) -> tuple[list[bool], int]:
+    """Tree-edge flags of a depth-first spanning forest of the undirected
+    graph, and its number of connected components."""
+    v = len(g.vertices)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(v)]
+    for i, edge in enumerate(g.edges):
+        incident[edge.src].append((i, edge.dst))
+        incident[edge.dst].append((i, edge.src))
+    tree = [False] * len(g.edges)
     components = 0
     seen = [False] * v
     for root in range(v):
@@ -146,10 +152,18 @@ def graph_invariants(g: CayleyGraph) -> GraphInvariants:
         seen[root] = True
         while stack:
             here = stack.pop()
-            for there in adjacency[here]:
+            for edge_id, there in incident[here]:
                 if not seen[there]:
                     seen[there] = True
+                    tree[edge_id] = True
                     stack.append(there)
+    return tree, components
+
+
+def graph_invariants(g: CayleyGraph) -> GraphInvariants:
+    """Undirected connectivity and the independent-loop count E - V + c."""
+    v, e = len(g.vertices), len(g.edges)
+    _, components = _spanning_forest(g)
     return GraphInvariants(
         connected=components <= 1,
         vertices=v,
@@ -218,36 +232,40 @@ def build_complex(p: Polygraph, system: RewritingSystem, cap: int = 10000) -> Ca
 
 
 def homology(c: CayleyComplex) -> HomologySummary:
-    """H0 and H1 of the complex by exact integer Smith normal form.
+    """H0 and H1 of the complex, exactly over the integers.
 
     boundary_1 sends an edge to dst - src; boundary_2 sends a face to the
     signed sum of its boundary edges (a doubly-traversed edge accumulates).
-    H0 = Z^V / im(boundary_1) and H1 = ker(boundary_1) / im(boundary_2); the
-    Euler characteristic is the plain cell count V - E + F.
+    H0 = Z^V / im(boundary_1) is free of rank the component count.  The
+    fundamental cycles of the non-tree edges of a spanning forest are a basis
+    of ker(boundary_1), and a cycle's coordinates over that basis are its
+    entries on the non-tree edges; so H1 = ker(boundary_1) / im(boundary_2)
+    is Z^(E - V + c) modulo the faces' non-tree entries, read off by Smith
+    normal form.  The Euler characteristic is the plain cell count V - E + F.
     """
     g = c.graph
     v, e, f = len(g.vertices), len(g.edges), len(c.faces)
-    d1: list[list[int]] = [[0] * e for _ in range(v)]
-    for j, edge in enumerate(g.edges):
-        d1[edge.src][j] -= 1
-        d1[edge.dst][j] += 1
-    d2: list[list[int]] = [[0] * f for _ in range(e)]
+    tree, components = _spanning_forest(g)
+    cotree = [i for i in range(e) if not tree[i]]
+    cotree_row = {edge_id: row for row, edge_id in enumerate(cotree)}
+    relations: list[list[int]] = [[0] * f for _ in cotree]
     for j, face in enumerate(c.faces):
+        # Coordinates are exact only for cycles: boundary_1 of the face's
+        # boundary must vanish (InternalError otherwise).
+        closure: Counter[int] = Counter()
         for ref in face.boundary:
             edge_id = abs(ref) - 1
-            d2[edge_id][j] += 1 if ref > 0 else -1
-    dec, basis = kernel_basis(d1)
-    h0 = v - dec.rank
-    # Express each face boundary in kernel coordinates; boundaries of disks
-    # are cycles, so the coordinates are exact (InternalError otherwise).
-    coords: list[list[int]] = [
-        kernel_coordinates(dec, [d2[i][j] for i in range(e)]) for j in range(f)
-    ]
-    kernel_rank = len(basis)
-    relation_columns = [[coords[j][t] for j in range(f)] for t in range(kernel_rank)]
-    h1_rank, torsion = quotient_invariants(kernel_rank, relation_columns)
+            sign = 1 if ref > 0 else -1
+            edge = g.edges[edge_id]
+            closure[edge.dst] += sign
+            closure[edge.src] -= sign
+            if edge_id in cotree_row:
+                relations[cotree_row[edge_id]][j] += sign
+        if any(closure.values()):
+            raise InternalError(f"boundary of face {j} ({face.rel}) is not a cycle")
+    h1_rank, torsion = quotient_invariants(len(cotree), relations)
     return HomologySummary(
-        h0_rank=h0,
+        h0_rank=components,
         h1_rank=h1_rank,
         h1_torsion=tuple(torsion),
         euler=v - e + f,

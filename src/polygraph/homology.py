@@ -1,39 +1,31 @@
 """Exact integer linear algebra for cellular homology.
 
-Smith normal form over the integers with a tracked right transform, kernel
-bases, and invariant factors of finitely presented abelian groups.  All
-arithmetic uses Python's arbitrary-precision integers; matrices are dense
-lists of row lists.  Sizes in this package are desk-scale (a few hundred
-cells), so the implementation favours clarity and verifiability over
-asymptotics.
+Invariant factors by Smith normal form over the integers, and the
+invariants of finitely presented abelian groups built on them.  No kernel
+computation lives here: ``cayley.homology`` reads cycle coordinates off a
+spanning forest of the Cayley graph and hands this module only the relation
+matrix of H1.  All arithmetic uses Python's arbitrary-precision integers;
+matrices are dense lists of row lists.  Sizes in this package are
+desk-scale (a few hundred cells), so the implementation favours clarity and
+verifiability over asymptotics.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InternalError
 
 __all__ = [
     "Matrix",
-    "SmithDecomposition",
-    "identity_matrix",
     "matmul",
     "smith_normal_form",
-    "kernel_basis",
-    "kernel_coordinates",
     "quotient_invariants",
 ]
 
 Matrix = list[list[int]]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Plain matrix product (used by tests to audit the decompositions)."""
+    """Plain matrix product (used by tests to check that d1 · d2 = 0)."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions differ")
     inner = len(b)
@@ -44,62 +36,28 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     ]
 
 
-@dataclass
-class SmithDecomposition:
-    """Diagonalization ``A · v`` has columns ``d_j · (something)``.
-
-    ``diagonal`` holds the nonzero invariant factors d_1 | d_2 | ... (all
-    positive), ``rank`` their count.  ``v`` is a unimodular matrix of column
-    operations and ``vinv`` its exact inverse: columns ``rank..n-1`` of ``v``
-    form a basis of the integer kernel of the input, and ``vinv`` converts a
-    kernel vector into coordinates over that basis.  Row operations are not
-    tracked; nothing downstream needs them.
-    """
-
-    diagonal: list[int]
-    rank: int
-    v: Matrix
-    vinv: Matrix
-
-
-def smith_normal_form(a: Matrix) -> SmithDecomposition:
-    """Diagonalize an integer matrix with a divisibility chain.
+def smith_normal_form(a: Matrix) -> list[int]:
+    """Invariant factors of an integer matrix: the positive nonzero diagonal
+    d_1 | d_2 | ... of its Smith normal form, whose length is the rank.
 
     Standard pivot-and-reduce elimination: the pivot shrinks strictly through
     remainders, so the inner loops terminate; after a block is cleared, any
     submatrix entry not divisible by the pivot is folded in and the block is
-    redone.  Column operations are mirrored on ``v`` and inverted on
-    ``vinv``.
+    redone.  No transform is tracked; nothing downstream needs one.
     """
     m = len(a)
     n = len(a[0]) if a else 0
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
     a = [row[:] for row in a]
-    v = identity_matrix(n)
-    vinv = identity_matrix(n)
 
     def swap_cols(i: int, j: int) -> None:
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def negate_col(i: int) -> None:
-        for row in a:
-            row[i] = -row[i]
-        for row in v:
-            row[i] = -row[i]
-        vinv[i] = [-x for x in vinv[i]]
 
     def add_col(dst: int, src: int, q: int) -> None:
-        # col_dst += q * col_src ; inverse op on vinv: row_src -= q * row_dst
         for row in a:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        vinv[src] = [x - q * y for x, y in zip(vinv[src], vinv[dst])]
 
     def swap_rows(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -160,41 +118,15 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
             if culprit is None:
                 break
             add_row(t, culprit, 1)
-        if a[t][t] < 0:
-            negate_col(t)
         t += 1
 
-    diagonal = [a[i][i] for i in range(t)]
+    diagonal = [abs(a[i][i]) for i in range(t)]
     # The elimination keeps each pivot dividing the trailing submatrix, so
     # the chain property holds by construction; re-check to be safe.
     for x, y in zip(diagonal, diagonal[1:]):
         if y % x != 0:
             raise InternalError(f"invariant factors out of order: {diagonal}")
-    return SmithDecomposition(diagonal=diagonal, rank=len(diagonal), v=v, vinv=vinv)
-
-
-def kernel_basis(a: Matrix) -> tuple[SmithDecomposition, list[list[int]]]:
-    """Basis of the integer kernel, as a list of length-n column vectors."""
-    dec = smith_normal_form(a)
-    n = len(dec.v)
-    basis = [[dec.v[i][j] for i in range(n)] for j in range(dec.rank, n)]
-    return dec, basis
-
-
-def kernel_coordinates(dec: SmithDecomposition, x: list[int]) -> list[int]:
-    """Coordinates of a kernel vector over the kernel_basis columns.
-
-    Exact because the basis columns extend to the unimodular ``v``; a vector
-    outside the kernel shows up as a nonzero entry among the first ``rank``
-    coordinates, which is rejected.
-    """
-    n = len(dec.v)
-    if len(x) != n:
-        raise ValueError("vector length does not match the matrix")
-    z = [sum(dec.vinv[i][k] * x[k] for k in range(n)) for i in range(n)]
-    if any(z[i] != 0 for i in range(dec.rank)):
-        raise InternalError("vector is not in the kernel")
-    return z[dec.rank :]
+    return diagonal
 
 
 def quotient_invariants(free_rank: int, relations: Matrix) -> tuple[int, list[int]]:
@@ -207,6 +139,5 @@ def quotient_invariants(free_rank: int, relations: Matrix) -> tuple[int, list[in
         raise ValueError("relation columns must live in Z^free_rank")
     if free_rank == 0 or not relations or not relations[0]:
         return (free_rank, [])
-    dec = smith_normal_form(relations)
-    torsion = [d for d in dec.diagonal if d > 1]
-    return (free_rank - dec.rank, torsion)
+    diagonal = smith_normal_form(relations)
+    return (free_rank - len(diagonal), [d for d in diagonal if d > 1])

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import (
+    InternalError,
     MultiObjectUnsupported,
     NotConvergent,
     ParseError,
@@ -374,7 +375,9 @@ def complete(
     pair joins; the result is then re-verified and stamped "proven".
 
     The limits bound, in order: live rules, the left-side length of any new
-    rule, and the number of equations processed.
+    rule, and the number of equations processed; ``max_steps`` also bounds
+    each normalization, and either step limit returns ``GaveUp("max_steps")``.
+    A completed system that fails re-verification raises InternalError.
     """
     alphabet = system.alphabet
     active: dict[int, Rule] = {}
@@ -397,8 +400,11 @@ def complete(
         if steps > max_steps:
             return GaveUp(_snapshot(alphabet, active), "max_steps")
         _, _, _, u, v = heappop(queue)
-        u = matcher.normalize(u, max_steps)
-        v = matcher.normalize(v, max_steps)
+        try:
+            u = matcher.normalize(u, max_steps)
+            v = matcher.normalize(v, max_steps)
+        except StepLimitExceeded:
+            return GaveUp(_snapshot(alphabet, active), "max_steps")
         if u == v:
             continue
         lhs, rhs = (u, v) if _slex_greater(u, v) else (v, u)
@@ -420,7 +426,10 @@ def complete(
             if rid == new_id:
                 continue
             if lhs in old.rhs:
-                active[rid] = Rule(old.lhs, matcher.normalize(old.rhs, max_steps))
+                try:
+                    active[rid] = Rule(old.lhs, matcher.normalize(old.rhs, max_steps))
+                except StepLimitExceeded:
+                    return GaveUp(_snapshot(alphabet, active), "max_steps")
         matcher = _Matcher(list(active.values()))
         # Queue the critical pairs the new rule creates, in both roles.
         for rid, old in active.items():
@@ -435,7 +444,7 @@ def complete(
     result = _snapshot(alphabet, active)
     check = verify_convergent(result)
     if not isinstance(check, Proven):
-        raise AssertionError(f"completion produced a non-convergent system: {check}")
+        raise InternalError(f"completion produced a non-convergent system: {check}")
     result.convergent = PROVEN
     return Converged(result)
 

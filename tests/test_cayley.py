@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from polygraph.cayley import (
     CayleyComplex,
     CayleyGraph,
     Edge,
     Face,
+    HomologySummary,
     build_complex,
     build_graph,
     complex_from_json,
@@ -23,11 +26,74 @@ from polygraph.cayley import (
 )
 from polygraph.errors import (
     InfiniteOrUnknown,
+    InternalError,
     NotConvergent,
     UnknownGenerator,
 )
 from polygraph.homology import matmul
 from polygraph.rewriting import format_system, normalize, parse_system
+
+# One vertex, one loop a, and a disk glued along a a: the projective plane's
+# cell structure, with H1 = Z/2.
+DOUBLED_LOOP = CayleyComplex(
+    graph=CayleyGraph(
+        vertices=("1",), edges=(Edge(src=0, dst=0, gen="a"),), gens=("a",)
+    ),
+    faces=(Face(base=0, rel="r", boundary=(1, 1)),),
+)
+
+# Two loops a, b and a disk glued along a b a' b': the torus, whose H1 = Z^2
+# holds only if the opposite traversals of each edge cancel.
+TORUS = CayleyComplex(
+    graph=CayleyGraph(
+        vertices=("1",),
+        edges=(Edge(src=0, dst=0, gen="a"), Edge(src=0, dst=0, gen="b")),
+        gens=("a", "b"),
+    ),
+    faces=(Face(base=0, rel="r", boundary=(1, 2, -1, -2)),),
+)
+
+# A loop killed to order four beside a two-edge cycle killed to order three:
+# H0 = Z^2 and H1 = Z/4 + Z/3 = Z/12.
+TWO_COMPONENTS = CayleyComplex(
+    graph=CayleyGraph(
+        vertices=("x", "y", "z"),
+        edges=(
+            Edge(src=0, dst=0, gen="a"),
+            Edge(src=1, dst=2, gen="a"),
+            Edge(src=2, dst=1, gen="a"),
+        ),
+        gens=("a",),
+    ),
+    faces=(
+        Face(base=0, rel="r", boundary=(1, 1, 1, 1)),
+        Face(base=1, rel="r", boundary=(2, 3) * 3),
+    ),
+)
+
+
+def boundary_matrices(c):
+    """Dense boundary_1 (V x E) and boundary_2 (E x F) of a complex."""
+    v, e, f = len(c.graph.vertices), len(c.graph.edges), len(c.faces)
+    d1 = [[0] * e for _ in range(v)]
+    for j, edge in enumerate(c.graph.edges):
+        d1[edge.src][j] -= 1
+        d1[edge.dst][j] += 1
+    d2 = [[0] * f for _ in range(e)]
+    for j, face in enumerate(c.faces):
+        for ref in face.boundary:
+            d2[abs(ref) - 1][j] += 1 if ref > 0 else -1
+    return d1, d2
+
+
+def sympy_rank_and_factors(a, rows, cols):
+    """Rank and nonzero invariant factors of a dense matrix, by sympy."""
+    if not rows or not cols:
+        return 0, []
+    m = sympy.Matrix(rows, cols, [x for row in a for x in row])
+    snf = sympy_snf(m, domain=sympy.ZZ)
+    factors = [abs(int(snf[i, i])) for i in range(min(rows, cols)) if snf[i, i] != 0]
+    return m.rank(), factors
 
 
 class TestBuildGraph:
@@ -136,16 +202,7 @@ class TestBuildComplex:
             assert here == face.base
 
     def test_boundary_operators_compose_to_zero(self, d5, d5_system):
-        c = build_complex(d5, d5_system)
-        v, e, f = len(c.graph.vertices), len(c.graph.edges), len(c.faces)
-        d1 = [[0] * e for _ in range(v)]
-        for j, edge in enumerate(c.graph.edges):
-            d1[edge.src][j] -= 1
-            d1[edge.dst][j] += 1
-        d2 = [[0] * f for _ in range(e)]
-        for j, face in enumerate(c.faces):
-            for ref in face.boundary:
-                d2[abs(ref) - 1][j] += 1 if ref > 0 else -1
+        d1, d2 = boundary_matrices(build_complex(d5, d5_system))
         product = matmul(d1, d2)
         assert all(entry == 0 for row in product for entry in row)
 
@@ -172,6 +229,54 @@ class TestHomology:
         assert summary.h0_rank == 1
         assert summary.h1_rank == graph_invariants(g).cycle_rank
         assert summary.euler == 0
+
+    def test_doubled_loop_has_two_torsion(self):
+        assert homology(DOUBLED_LOOP) == HomologySummary(
+            h0_rank=1, h1_rank=0, h1_torsion=(2,), euler=1
+        )
+
+    def test_torsion_of_two_components_combines(self):
+        summary = homology(TWO_COMPONENTS)
+        assert summary.h0_rank == 2
+        assert summary.h1_rank == 0
+        assert summary.h1_torsion == (12,)
+
+    def test_face_boundary_that_is_not_a_cycle_is_rejected(self):
+        # The lone edge is a tree edge, so only the closure check sees this.
+        path = CayleyComplex(
+            graph=CayleyGraph(
+                vertices=("x", "y"), edges=(Edge(src=0, dst=1, gen="a"),), gens=("a",)
+            ),
+            faces=(Face(base=0, rel="r", boundary=(1,)),),
+        )
+        with pytest.raises(InternalError, match="not a cycle"):
+            homology(path)
+
+    def test_summaries_agree_with_sympy_on_dense_boundaries(
+        self, z5, d5, q8, z5_system, d5_system, q8_system
+    ):
+        # Independent reference: H0 = V - rank d1, H1 = Z^(E - rank d1 - rank d2)
+        # plus the invariant factors of d2 above 1 (ker d1 is a direct summand).
+        complexes = [
+            build_complex(z5, z5_system),
+            build_complex(d5, d5_system),
+            build_complex(q8, q8_system),
+            CayleyComplex(graph=build_graph(z5, z5_system)),
+            DOUBLED_LOOP,
+            TORUS,
+            TWO_COMPONENTS,
+        ]
+        for c in complexes:
+            v, e, f = len(c.graph.vertices), len(c.graph.edges), len(c.faces)
+            d1, d2 = boundary_matrices(c)
+            rank1, _ = sympy_rank_and_factors(d1, v, e)
+            rank2, factors = sympy_rank_and_factors(d2, e, f)
+            assert homology(c) == HomologySummary(
+                h0_rank=v - rank1,
+                h1_rank=e - rank1 - rank2,
+                h1_torsion=tuple(d for d in factors if d > 1),
+                euler=v - e + f,
+            )
 
 
 class TestExports:

@@ -9,7 +9,7 @@ import subprocess
 import pytest
 
 from conftest import DATA
-from polygraph import cli
+from polygraph import cli, rewriting
 
 Z5 = str(DATA / "z5.plg")
 D5 = str(DATA / "d5.plg")
@@ -63,6 +63,20 @@ class TestComplete:
         code, out, err = run(capsys, ["complete", B3, "--max-rules", "50"])
         assert code == 2
         assert out == "gave-up reason=max_rules rules=51\n"
+
+    def test_failed_self_check_exits_three_without_a_traceback(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            rewriting,
+            "verify_convergent",
+            lambda system: rewriting.Refuted("a", "a", "1"),
+        )
+        code, out, err = run(capsys, ["complete", Z5])
+        assert code == 3
+        assert out == ""
+        assert "non-convergent" in err
+        assert "Traceback" not in err
 
     def test_writes_to_a_file_on_request(self, capsys, tmp_path):
         target = tmp_path / "z5.system"

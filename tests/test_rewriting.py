@@ -4,8 +4,9 @@ import pytest
 
 import props
 from conftest import load
-from polygraph import presentations
+from polygraph import presentations, rewriting
 from polygraph.errors import (
+    InternalError,
     MultiObjectUnsupported,
     NotConvergent,
     StepLimitExceeded,
@@ -136,6 +137,30 @@ class TestComplete:
         out = complete(encode(load("d5.plg")), max_steps=3)
         assert isinstance(out, GaveUp)
         assert out.reason == "max_steps"
+
+    def test_step_limit_inside_normalization_gives_up(self):
+        # Normalizing b^10 a^10 takes 100 rewrites, long before 50
+        # equations have been processed.
+        system = parse_system("order: a < b\nb a -> a b\nb^10 a^10 -> a^10 b^10\n")
+        out = complete(system, max_steps=50)
+        assert isinstance(out, GaveUp)
+        assert out.reason == "max_steps"
+
+    def test_step_limit_while_renormalizing_right_sides_gives_up(self):
+        # The two d^11 rules derive b -> a as the third equation; the right
+        # side b^9 then takes nine rewrites to renormalize.
+        system = parse_system("order: a < b < c < d\nc^10 -> b^9\nd^11 -> b\nd^11 -> a\n")
+        out = complete(system, max_steps=5)
+        assert isinstance(out, GaveUp)
+        assert out.reason == "max_steps"
+        assert isinstance(complete(system), Converged)
+
+    def test_failed_self_check_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(
+            rewriting, "verify_convergent", lambda system: Refuted("a", "a", "1")
+        )
+        with pytest.raises(InternalError, match="non-convergent"):
+            complete(encode(load("z5.plg")))
 
     def test_gave_up_partial_system_is_unverified(self):
         out = complete(encode(load("b3.plg")), max_rules=50)

@@ -27,7 +27,9 @@ b3 = presentations.parse("< a, b | a b a = b a b >")
 print("presentation:", presentations.render(b3))
 print("well-formed:", validate(b3) == [])
 
-# Words parse from space-separated letters; ' marks an inverse, ^ a power.
+# Words are whitespace-separated terms: a generator, a generator with ' for
+# its inverse, or a generator with an integer power (a^3, a^-2, a^0).  The
+# word 1 is the identity.  Every reader in the package shares this grammar.
 w = b3.word("a b b' a^2")
 print("\nword:", format_word(w), "  reduces to:", format_word(w.reduce()))
 print("inverse:", format_word(w.invert()))

@@ -214,8 +214,47 @@ def boundary(p: Polygraph, d: Derivation) -> Sphere:
 
     Raises UnknownCell if a leaf names a missing relation or generator, and
     IllTyped if a composition does not line up (horizontal endpoints, or the
-    literal middle word of a vertical composition).
+    literal middle word of a vertical composition).  The tree is walked with
+    an explicit stack, so its depth is not bounded by the recursion limit.
     """
+    done: list[Sphere] = []  # boundaries of finished subtrees, left to right
+    todo: list[tuple[Derivation, bool]] = [(d, False)]  # (node, parts done?)
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Inv):
+            if not ready:
+                todo += [(node, True), (node.inner, False)]
+                continue
+            lhs, rhs = done.pop()
+            done.append((rhs, lhs))
+        elif isinstance(node, Horiz):
+            if not ready:
+                todo += [(node, True), (node.right, False), (node.left, False)]
+                continue
+            (rlhs, rrhs), (llhs, lrhs) = done.pop(), done.pop()
+            if llhs.tgt != rlhs.src:
+                raise IllTyped(
+                    f"horizontal composition: left ends at {llhs.tgt!r},"
+                    f" right starts at {rlhs.src!r}"
+                )
+            done.append((llhs.concat(rlhs), lrhs.concat(rrhs)))
+        elif isinstance(node, Vert):
+            if not ready:
+                todo += [(node, True), (node.second, False), (node.first, False)]
+                continue
+            (slhs, srhs), (flhs, frhs) = done.pop(), done.pop()
+            if frhs != slhs:
+                raise IllTyped(
+                    f"vertical composition: middle words differ"
+                    f" ({format_word(frhs)} vs {format_word(slhs)})"
+                )
+            done.append((flhs, srhs))
+        else:
+            done.append(_leaf_boundary(p, node))
+    return done[0]
+
+
+def _leaf_boundary(p: Polygraph, d: Derivation) -> Sphere:
     if isinstance(d, Gen):
         if d.rel not in p.rels:
             raise UnknownCell(f"unknown relation {d.rel!r}")
@@ -227,27 +266,6 @@ def boundary(p: Polygraph, d: Derivation) -> Sphere:
         # Re-check the word so a corrupt tree cannot smuggle in bad letters.
         Word.from_letters(d.word.letters, p.gens, at=d.word.src)
         return (d.word, d.word)
-    if isinstance(d, Inv):
-        lhs, rhs = boundary(p, d.inner)
-        return (rhs, lhs)
-    if isinstance(d, Horiz):
-        llhs, lrhs = boundary(p, d.left)
-        rlhs, rrhs = boundary(p, d.right)
-        if llhs.tgt != rlhs.src:
-            raise IllTyped(
-                f"horizontal composition: left ends at {llhs.tgt!r},"
-                f" right starts at {rlhs.src!r}"
-            )
-        return (llhs.concat(rlhs), lrhs.concat(rrhs))
-    if isinstance(d, Vert):
-        flhs, frhs = boundary(p, d.first)
-        slhs, srhs = boundary(p, d.second)
-        if frhs != slhs:
-            raise IllTyped(
-                f"vertical composition: middle words differ"
-                f" ({format_word(frhs)} vs {format_word(slhs)})"
-            )
-        return (flhs, srhs)
     if isinstance(d, CancelLeft):
         if d.gen not in p.gens:
             raise UnknownCell(f"unknown generator {d.gen!r}")

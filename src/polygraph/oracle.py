@@ -13,10 +13,11 @@ group laws on the result, turning engine bugs into loud LawViolation errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import LawViolation, MultiObjectUnsupported
 from .model import Polygraph
-from .words import Word
+from .words import Letter, Word
 
 __all__ = [
     "Equal",
@@ -53,6 +54,13 @@ def default_length_cap(u_len: int, v_len: int, radius: int) -> int:
 # visited set compact.
 _State = tuple[int, ...]
 
+# An elementary move, labelled by what it does at position i of a word:
+# ("cancel", i, letter) drops the inverse pair that starts with ``letter``,
+# ("insert", i, letter) puts ``letter`` and its inverse there, and
+# ("rel", i, (rel, sign)) replaces relation ``rel``'s left side by its right
+# side (sign +1) or the reverse (sign -1).
+Move = tuple[str, int, object]
+
 
 class SearchSpace:
     """Move generator for one presentation; reusable across many searches."""
@@ -68,14 +76,19 @@ class SearchSpace:
         self._index = {g: i for i, g in enumerate(self._gens)}
         n = len(self._gens)
         self._n = n
+        self._letters = tuple(
+            Letter(g, sign) for sign in (1, -1) for g in self._gens
+        )
+        self._mates = tuple(range(n, 2 * n)) + tuple(range(n))
+        self._pairs = tuple((letter, self._mates[letter]) for letter in range(2 * n))
         # Both replacement directions for every relation.
-        self._swaps: list[tuple[_State, _State]] = []
-        for lhs, rhs in p.rels.values():
+        self._swaps: list[tuple[_State, _State, tuple[str, int]]] = []
+        for rel, (lhs, rhs) in p.rels.items():
             left = self._encode(lhs)
             right = self._encode(rhs)
-            self._swaps.append((left, right))
+            self._swaps.append((left, right, (rel, 1)))
             if left != right:
-                self._swaps.append((right, left))
+                self._swaps.append((right, left, (rel, -1)))
 
     def _encode(self, word: Word) -> _State:
         n = self._n
@@ -83,48 +96,51 @@ class SearchSpace:
             self._index[lt.gen] + (0 if lt.sign > 0 else n) for lt in word.letters
         )
 
-    def _mate(self, letter: int) -> int:
-        n = self._n
-        return letter - n if letter >= n else letter + n
-
     def encode(self, word: Word | str) -> _State:
         if isinstance(word, str):
             word = self.polygraph.word(word)
         return self._encode(word)
 
+    def decode(self, state: _State) -> Word:
+        """The Word a state spells, at the presentation's one 0-cell."""
+        cell = self.polygraph.cells0[0]
+        return Word(tuple(self._letters[letter] for letter in state), cell, cell)
+
     def reduce(self, state: _State) -> _State:
         """Free reduction: cancel adjacent mutually inverse letters."""
         stack: list[int] = []
         for letter in state:
-            if stack and stack[-1] == self._mate(letter):
+            if stack and stack[-1] == self._mates[letter]:
                 stack.pop()
             else:
                 stack.append(letter)
         return tuple(stack)
 
-    def neighbors(self, state: _State, length_cap: int) -> list[_State]:
-        """All words one move away: cancel, insert, or swap a relation side."""
-        out: list[_State] = []
+    def moves(self, state: _State, length_cap: int) -> Iterator[tuple[_State, Move]]:
+        """Every word one elementary move away, each with its Move label:
+        cancel an adjacent inverse pair, insert one, or swap a relation side.
+        Words longer than ``length_cap`` are not produced."""
         length = len(state)
-        # Cancellations of an adjacent inverse pair.
+        mates = self._mates
         for i in range(length - 1):
-            if state[i + 1] == self._mate(state[i]):
-                out.append(state[:i] + state[i + 2 :])
-        # Insertions of an inverse pair, any letter, any position.
+            if state[i + 1] == mates[state[i]]:
+                yield state[:i] + state[i + 2 :], ("cancel", i, self._letters[state[i]])
         if length + 2 <= length_cap:
             for i in range(length + 1):
                 head, tail = state[:i], state[i:]
-                for letter in range(2 * self._n):
-                    out.append(head + (letter, self._mate(letter)) + tail)
-        # Relation replacements, both directions, every occurrence.
-        for pattern, replacement in self._swaps:
+                for letter, pair in enumerate(self._pairs):
+                    yield head + pair + tail, ("insert", i, self._letters[letter])
+        for pattern, replacement, label in self._swaps:
             span = len(pattern)
             if length - span + len(replacement) > length_cap:
                 continue
             for i in range(length - span + 1):
                 if state[i : i + span] == pattern:
-                    out.append(state[:i] + replacement + state[i + span :])
-        return out
+                    yield state[:i] + replacement + state[i + span :], ("rel", i, label)
+
+    def neighbors(self, state: _State, length_cap: int) -> list[_State]:
+        """All words one move away (the moves without their labels)."""
+        return [child for child, _ in self.moves(state, length_cap)]
 
 
 def bfs_reach(
@@ -144,7 +160,7 @@ def bfs_reach(
     for depth in range(1, radius + 1):
         next_frontier: list[_State] = []
         for state in frontier:
-            for child in space.neighbors(state, length_cap):
+            for child, _ in space.moves(state, length_cap):
                 if child not in seen:
                     seen[child] = depth
                     next_frontier.append(child)
@@ -185,7 +201,7 @@ def bfs_equal(
     for depth in range(1, radius + 1):
         next_frontier: list[_State] = []
         for state in frontier:
-            for child in space.neighbors(state, length_cap):
+            for child, _ in space.moves(state, length_cap):
                 if child == goal:
                     return Equal(depth)
                 if child not in seen:

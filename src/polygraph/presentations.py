@@ -31,10 +31,11 @@ otherwise, and parse(render(p)) reproduces p on the nose.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError, SourceSpan
-from .words import IDENT_RE, Letter, Word, format_word
+from .words import IDENT_RE, Letter, Word, expand_runs, format_word, scan_terms
 
 from .model import DEFAULT_CELL, Polygraph, Sphere
 
@@ -43,7 +44,7 @@ __all__ = ["parse", "render"]
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "ident" | "int" | "sym" | "nl" | "eof"
+    kind: str  # "ident" | "term" | "sym" | "nl" | "eof"
     text: str
     line: int
     col: int
@@ -53,10 +54,17 @@ class _Token:
         return SourceSpan(self.line, self.col, max(1, len(self.text)))
 
 
-_SYMBOLS = set("<>|,=:'^*@")
+_SYMBOLS = set("<>|,=:*@")
+# Text up to the next space, comment, symbol or "->".
+_PIECE_RE = re.compile(r"(?:[^\s#<>|,=:*@-]|-(?!>))+")
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """Symbols, newlines, and pieces of other text between them.
+
+    A piece is an identifier or some other word term; words.scan_terms
+    decides what a term means.
+    """
     tokens: list[_Token] = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -65,41 +73,22 @@ def _tokenize(text: str) -> list[_Token]:
         if ch == "\n":
             tokens.append(_Token("nl", "\n", line, col))
             i, line, col = i + 1, line + 1, 1
-        elif ch in " \t\r":
+        elif ch.isspace():
             i, col = i + 1, col + 1
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i, col = i + 1, col + 1
-        elif ch.isalpha():
-            match = IDENT_RE.match(text, i)
-            word = match.group(0)
-            tokens.append(_Token("ident", word, line, col))
-            i, col = i + len(word), col + len(word)
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(_Token("sym", "->", line, col))
-                i, col = i + 2, col + 2
-            elif i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(_Token("int", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError("stray '-'", SourceSpan(line, col))
+        elif text.startswith("->", i):
+            tokens.append(_Token("sym", "->", line, col))
+            i, col = i + 2, col + 2
         elif ch in _SYMBOLS:
             tokens.append(_Token("sym", ch, line, col))
             i, col = i + 1, col + 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(line, col))
+            piece = _PIECE_RE.match(text, i).group()
+            kind = "ident" if IDENT_RE.fullmatch(piece) else "term"
+            tokens.append(_Token(kind, piece, line, col))
+            i, col = i + len(piece), col + len(piece)
     tokens.append(_Token("eof", "", line, col))
     return tokens
 
@@ -147,63 +136,35 @@ def _is_sym(token: _Token, sym: str) -> bool:
 
 def _parse_word_tokens(
     parser: _Parser, gens: dict[str, tuple[str, str]], stop_syms: set[str], skip_nl: bool
-) -> tuple[list[Letter] | None, _Token]:
+) -> tuple[list[Letter], _Token]:
     """Parse a word up to one of stop_syms.
 
-    Returns (letters, first_token); letters is None for the identity word
+    Returns (letters, first_token); no letters means an identity word
     (written ``1``), whose basepoint the caller must supply.
     """
     first = parser.peek(skip_nl)
-    if first.kind == "int":
-        if first.text != "1":
-            raise ParseError(f"expected a word, found {first.text!r}", first.span)
-        parser.take(skip_nl)
-        nxt = parser.peek(skip_nl)
-        ends_word = (nxt.kind == "sym" and nxt.text in stop_syms) or nxt.kind in ("nl", "eof")
-        if not ends_word:
-            raise ParseError("the identity word '1' stands alone", nxt.span)
-        return None, first
-    letters: list[Letter] = []
+    pieces: list[tuple[str, int, int]] = []
     while True:
         token = parser.peek(skip_nl)
-        if token.kind == "sym" and token.text in stop_syms:
+        if token.kind in ("nl", "eof") or (token.kind == "sym" and token.text in stop_syms):
             break
-        if token.kind in ("nl", "eof"):
-            break
-        if token.kind != "ident":
+        if token.kind == "sym":
             raise ParseError(f"expected a word term, found {token.text!r}", token.span)
         parser.take(skip_nl)
-        name = token.text
-        if name not in gens:
-            raise ParseError(f"unknown generator {name!r}", token.span)
-        nxt = parser.peek()  # primes and exponents bind tightly: same line
-        if _is_sym(nxt, "'"):
-            parser.take()
-            letters.append(Letter(name, -1))
-        elif _is_sym(nxt, "^"):
-            parser.take()
-            exp_token = parser.take()
-            if exp_token.kind != "int":
-                raise ParseError("expected an integer exponent", exp_token.span)
-            exp = int(exp_token.text)
-            sign = 1 if exp > 0 else -1
-            letters.extend(Letter(name, sign) for _ in range(abs(exp)))
-        else:
-            letters.append(Letter(name, 1))
-    if not letters:
-        token = parser.peek(skip_nl)
-        raise ParseError("expected a word", token.span)
-    return letters, first
+        pieces.append((token.text, token.line, token.col))
+    if not pieces:
+        raise ParseError("expected a word", first.span)
+    return expand_runs(scan_terms(pieces), gens), first
 
 
 def _build_word(
-    letters: list[Letter] | None,
+    letters: list[Letter],
     gens: dict[str, tuple[str, str]],
     at: str | None,
     where: _Token,
 ) -> Word | None:
     """Assemble checked word; None when identity with unknown basepoint."""
-    if letters is None:
+    if not letters:
         return Word.identity(at) if at is not None else None
     try:
         return Word.from_letters(letters, gens)

@@ -39,7 +39,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .model import Polygraph
-from .words import IDENT_RE, Letter, Word
+from .words import Word, scan_word
 
 __all__ = [
     "Alphabet",
@@ -102,22 +102,22 @@ class Alphabet:
             raise UnknownGenerator(f"letter {name!r} is not in the alphabet")
         return self._index[name]
 
-    def inverse_index(self, i: int) -> int | None:
-        """Index of the formal inverse letter, if the alphabet has it."""
-        name = self.letters[i]
-        partner = name[:-1] if name.endswith("'") else name + "'"
-        j = self._index.get(partner)
-        return j
+    def encode_runs(self, runs) -> bytes:
+        """Letter indices of words.scan_word runs; UnknownGenerator for a
+        letter outside the alphabet."""
+        out = bytearray()
+        letters: dict[str, bytes] = {}
+        for gen, sign, count, _, _ in runs:
+            name = _letter_name(gen, sign)
+            if name not in letters:
+                letters[name] = bytes((self.index(name),))
+            out += letters[name] * count
+        return bytes(out)
 
-    def free_reduce(self, word: bytes) -> bytes:
-        """Cancel adjacent mutually-inverse letters (one stack pass)."""
-        stack = bytearray()
-        for b in word:
-            if stack and self.inverse_index(stack[-1]) == b:
-                stack.pop()
-            else:
-                stack.append(b)
-        return bytes(stack)
+
+def _letter_name(gen: str, sign: int) -> str:
+    """The alphabet letter of a signed generator: ``a``, or ``a'`` backwards."""
+    return gen if sign > 0 else gen + "'"
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,12 @@ class RewritingSystem:
         if isinstance(word, bytes):
             return word
         if isinstance(word, Word):
-            out = bytearray()
-            for letter in word.letters:
-                name = letter.gen if letter.sign > 0 else letter.gen + "'"
-                out.append(self.alphabet.index(name))
-            return bytes(out)
+            return bytes(
+                self.alphabet.index(_letter_name(letter.gen, letter.sign))
+                for letter in word.letters
+            )
         if isinstance(word, str):
-            return _parse_letter_text(self.alphabet, word)
+            return self.alphabet.encode_runs(scan_word(word))
         raise TypeError(f"cannot encode {word!r} as a word")
 
     def word_text(self, word: bytes) -> str:
@@ -169,32 +168,6 @@ class RewritingSystem:
         if not word:
             return "1"
         return " ".join(self.alphabet.letters[b] for b in word)
-
-
-def _parse_letter_text(alphabet: Alphabet, text: str) -> bytes:
-    """Word text over an alphabet with optional primed letters."""
-    tokens = text.split()
-    if not tokens or tokens == ["1"]:
-        return b""
-    out = bytearray()
-    for token in tokens:
-        base, prime, exp = token, False, 1
-        if "^" in token:
-            base, _, exp_text = token.partition("^")
-            try:
-                exp = int(exp_text)
-            except ValueError:
-                raise ParseError(f"bad exponent in {token!r}")
-        if base.endswith("'"):
-            base, prime = base[:-1], True
-        if not IDENT_RE.fullmatch(base):
-            raise ParseError(f"bad word term {token!r}")
-        # A prime flips the letter, and so does a negative exponent.
-        positive = (not prime) == (exp >= 0)
-        name = base if positive else base + "'"
-        index = alphabet.index(name)
-        out.extend([index] * abs(exp))
-    return bytes(out)
 
 
 # ----------------------------------------------------------------- encoding
@@ -235,7 +208,7 @@ def encode(
                 f"expected a permutation of {gens!r}"
             )
     if inverses:
-        alphabet = Alphabet(precedence + [g + "'" for g in precedence])
+        alphabet = Alphabet(precedence + [_letter_name(g, -1) for g in precedence])
     else:
         alphabet = Alphabet(tuple(precedence))
     n = len(precedence)
@@ -254,8 +227,8 @@ def encode(
                             f"relation {rel}: inverse letter {letter} has no"
                             " place in an inverse-free encoding"
                         )
-        left = alphabet.free_reduce(system.word_bytes(lhs))
-        right = alphabet.free_reduce(system.word_bytes(rhs))
+        left = system.word_bytes(lhs.reduce())
+        right = system.word_bytes(rhs.reduce())
         if left == right:
             logger.info("relation %s is freely trivial; dropped from the encoding", rel)
             continue
@@ -597,7 +570,8 @@ def parse_system(text: str) -> RewritingSystem:
     alphabet: Alphabet | None = None
     rules: list[Rule] = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]
+        line = body.strip()
         if not line:
             continue
         if alphabet is None:
@@ -610,22 +584,23 @@ def parse_system(text: str) -> RewritingSystem:
             if letters == [""]:
                 raise ParseError("empty letter order", SourceSpan(lineno, 1))
             for name in letters:
-                base = name[:-1] if name.endswith("'") else name
-                if not IDENT_RE.fullmatch(base):
+                # A letter name is word text for exactly one letter: itself.
+                runs = scan_word(name, lineno)
+                if [(_letter_name(g, s), c) for g, s, c, _, _ in runs] != [(name, 1)]:
                     raise ParseError(f"bad letter {name!r}", SourceSpan(lineno, 1))
             try:
                 alphabet = Alphabet(letters)
             except ValueError as exc:
                 raise ParseError(str(exc), SourceSpan(lineno, 1)) from exc
             continue
-        if "->" not in line:
+        arrow = body.find("->")
+        if arrow < 0:
             raise ParseError("expected 'lhs -> rhs'", SourceSpan(lineno, 1))
-        lhs_text, _, rhs_text = line.partition("->")
+        lhs = scan_word(body[:arrow], lineno)
+        rhs = scan_word(body[arrow + 2:], lineno, arrow + 3)
         try:
-            lhs = _parse_letter_text(alphabet, lhs_text.strip())
-            rhs = _parse_letter_text(alphabet, rhs_text.strip())
-            rules.append(Rule(lhs, rhs))
-        except (ParseError, UnknownGenerator, ValueError) as exc:
+            rules.append(Rule(alphabet.encode_runs(lhs), alphabet.encode_runs(rhs)))
+        except (UnknownGenerator, ValueError) as exc:
             raise ParseError(str(exc), SourceSpan(lineno, 1)) from exc
     if alphabet is None:
         raise ParseError("empty system text", SourceSpan(1, 1))

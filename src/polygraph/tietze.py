@@ -29,10 +29,12 @@ from .model import (
     Polygraph,
     Sphere,
     Vert,
+    _name_ok,
     boundary,
     chain,
     step as whisker,
 )
+from .oracle import Move, SearchSpace, default_length_cap
 from .words import Letter, Word, format_word, parse_word
 
 __all__ = [
@@ -139,10 +141,6 @@ def _fail(reason: str) -> StepCheck:
     return StepCheck(False, reason)
 
 
-def _name_usable(name: str) -> bool:
-    return bool(name) and not any(ch.isspace() for ch in name)
-
-
 def _defining_sides(p: Polygraph, rel: str, gen: str) -> Word | None:
     """The defining word if relation ``rel`` has shape (w, gen) or (gen, w)."""
     lhs, rhs = p.rels[rel]
@@ -163,7 +161,7 @@ def verify(p: Polygraph, step: TietzeStep) -> StepCheck:
     if isinstance(step, T0):
         if step.at not in p.cells0:
             return _fail(f"unknown 0-cell {step.at!r}")
-        if not _name_usable(step.new_cell) or not _name_usable(step.new_gen):
+        if not _name_ok(step.new_cell) or not _name_ok(step.new_gen):
             return _fail("new names must be nonempty and whitespace-free")
         if step.new_cell in p.cells0:
             return _fail(f"0-cell {step.new_cell!r} already exists")
@@ -171,7 +169,7 @@ def verify(p: Polygraph, step: TietzeStep) -> StepCheck:
             return _fail(f"generator {step.new_gen!r} already exists")
         return _OK
     if isinstance(step, T1):
-        if not _name_usable(step.new_gen) or not _name_usable(step.new_rel):
+        if not _name_ok(step.new_gen) or not _name_ok(step.new_rel):
             return _fail("new names must be nonempty and whitespace-free")
         if step.new_gen in p.gens:
             return _fail(f"generator {step.new_gen!r} already exists")
@@ -183,7 +181,7 @@ def verify(p: Polygraph, step: TietzeStep) -> StepCheck:
             return _fail(f"defining word is not valid here: {exc}")
         return _OK
     if isinstance(step, T2):
-        if not _name_usable(step.new_rel):
+        if not _name_ok(step.new_rel):
             return _fail("new names must be nonempty and whitespace-free")
         if step.new_rel in p.rels:
             return _fail(f"relation {step.new_rel!r} already exists")
@@ -380,21 +378,32 @@ def transport(p: Polygraph, steps, word: Word) -> Word:
 
 def format_derivation(d: Derivation) -> str:
     """Render a derivation as the s-expression syntax of .tz scripts."""
-    if isinstance(d, Gen):
-        return f"(gen {d.rel} {'+' if d.sign > 0 else '-'})"
-    if isinstance(d, Horiz):
-        return f"(h {format_derivation(d.left)} {format_derivation(d.right)})"
-    if isinstance(d, Vert):
-        return f"(v {format_derivation(d.first)} {format_derivation(d.second)})"
-    if isinstance(d, Id):
-        return f"(id {format_word(d.word)})"
-    if isinstance(d, Inv):
-        return f"(inv {format_derivation(d.inner)})"
-    if isinstance(d, CancelLeft):
-        return f"(lam {d.gen})"
-    if isinstance(d, CancelRight):
-        return f"(rho {d.gen})"
-    raise TietzeError(f"not a derivation node: {d!r}")
+    out: list[str] = []
+    todo: list[Derivation | str] = [d]  # nodes still to render, and literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Gen):
+            out.append(f"(gen {item.rel} {'+' if item.sign > 0 else '-'})")
+        elif isinstance(item, Horiz):
+            out.append("(h ")
+            todo += [")", item.right, " ", item.left]
+        elif isinstance(item, Vert):
+            out.append("(v ")
+            todo += [")", item.second, " ", item.first]
+        elif isinstance(item, Id):
+            out.append(f"(id {format_word(item.word)})")
+        elif isinstance(item, Inv):
+            out.append("(inv ")
+            todo += [")", item.inner]
+        elif isinstance(item, CancelLeft):
+            out.append(f"(lam {item.gen})")
+        elif isinstance(item, CancelRight):
+            out.append(f"(rho {item.gen})")
+        else:
+            raise TietzeError(f"not a derivation node: {item!r}")
+    return "".join(out)
 
 
 def _split_tokens(text: str, line: int) -> list[tuple[str, int]]:
@@ -449,8 +458,31 @@ class _SexprParser:
         return d
 
     def _node(self) -> Derivation:
-        self._expect("(")
-        head, col = self._take()
+        # Open (h …), (v …) and (inv …) nodes wait on a stack for their
+        # parts, so nesting depth is not bounded by the recursion limit.
+        open_nodes: list[tuple[str, list[Derivation]]] = []
+        while True:
+            self._expect("(")
+            head, col = self._take()
+            if head in ("h", "v", "inv"):
+                open_nodes.append((head, []))
+                continue
+            node = self._leaf(head, col)
+            while open_nodes:
+                head, parts = open_nodes[-1]
+                parts.append(node)
+                if len(parts) < (1 if head == "inv" else 2):
+                    break
+                open_nodes.pop()
+                self._expect(")")
+                if head == "inv":
+                    node = Inv(parts[0])
+                else:
+                    node = Horiz(*parts) if head == "h" else Vert(*parts)
+            else:
+                return node
+
+    def _leaf(self, head: str, col: int) -> Derivation:
         if head == "gen":
             rel, _ = self._take()
             sign_text, sign_col = self._take()
@@ -461,29 +493,18 @@ class _SexprParser:
                 )
             self._expect(")")
             return Gen(rel, 1 if sign_text == "+" else -1)
-        if head in ("h", "v"):
-            first = self._node()
-            second = self._node()
-            self._expect(")")
-            return Horiz(first, second) if head == "h" else Vert(first, second)
-        if head == "inv":
-            inner = self._node()
-            self._expect(")")
-            return Inv(inner)
         if head in ("lam", "rho"):
             gen, _ = self._take()
             self._expect(")")
             return CancelLeft(gen) if head == "lam" else CancelRight(gen)
         if head == "id":
             parts: list[str] = []
-            word_col = col
-            while True:
-                token, word_col = self._take()
-                if token == ")":
-                    break
+            token, word_col = self._take()
+            while token != ")":
                 parts.append(token)
+                token, _ = self._take()
             at = self.p.cells0[0] if len(self.p.cells0) == 1 else None
-            word = parse_word(" ".join(parts), self.p.gens, at=at, line=self.line)
+            word = parse_word(" ".join(parts), self.p.gens, at=at, line=self.line, column=word_col)
             return Id(word)
         raise ParseError(
             f"unknown derivation head {head!r}", SourceSpan(self.line, col)
@@ -514,7 +535,8 @@ def _word_until(tokens, start, stops, p: Polygraph, line: int) -> tuple[Word, in
         parts.append(tokens[i][0])
         i += 1
     at = p.cells0[0] if len(p.cells0) == 1 else None
-    word = parse_word(" ".join(parts), p.gens, at=at, line=line)
+    column = tokens[start][1] if start < len(tokens) else 1
+    word = parse_word(" ".join(parts), p.gens, at=at, line=line, column=column)
     return word, i
 
 
@@ -634,111 +656,49 @@ def synthesize_witness(
 ) -> Derivation | None:
     """Search for a derivation with boundary exactly (source, target).
 
-    Breadth-first search over raw letter sequences; one move is a relation
-    applied at a position (either direction), a cancellation of an adjacent
-    inverse pair, or an insertion of one.  Each move is replayed as a
-    whiskered rewrite and the chain is the witness, so the result always
-    boundary-checks.  Returns None when no derivation appears within the
-    limits.
+    Breadth-first search over raw words with the moves of
+    ``oracle.SearchSpace``: a relation applied at a position (either
+    direction), a cancellation of an adjacent inverse pair, or an insertion
+    of one.  Each move on the path found is replayed as a whiskered rewrite
+    and the chain is the witness, so the result always boundary-checks.
+    Returns None when no derivation appears within the limits.
     """
     if len(p.cells0) != 1:
         raise TietzeError("witness synthesis handles single-0-cell presentations")
-    cell = p.cells0[0]
+    space = SearchSpace(p)
     if length_cap is None:
-        length_cap = 2 * max(len(source), len(target)) + 2 * radius
-
-    start = tuple(source.letters)
-    goal = tuple(target.letters)
-    sides = {
-        rel: (tuple(lhs.letters), tuple(rhs.letters))
-        for rel, (lhs, rhs) in p.rels.items()
-    }
-
-    # Moves are (kind, payload, position); parents chain them backwards.
-    parents: dict[tuple, tuple | None] = {start: None}
+        length_cap = default_length_cap(len(source), len(target), radius)
+    start, goal = space.encode(source), space.encode(target)
+    parents: dict[tuple, tuple[tuple, Move] | None] = {start: None}
     frontier = [start]
-    found = start == goal
     for _ in range(radius):
-        if found:
+        if goal in parents or len(parents) > max_states:
             break
         next_frontier: list[tuple] = []
         for state in frontier:
-            children: list[tuple[tuple, tuple]] = []
-            length = len(state)
-            for i in range(length - 1):
-                if state[i + 1] == state[i].inverse():
-                    children.append(
-                        (state[:i] + state[i + 2 :], ("cancel", state[i], i))
-                    )
-            if length + 2 <= length_cap:
-                for i in range(length + 1):
-                    for gen in p.gens:
-                        for sign in (1, -1):
-                            letter = Letter(gen, sign)
-                            pair = (letter, letter.inverse())
-                            children.append(
-                                (state[:i] + pair + state[i:], ("insert", letter, i))
-                            )
-            for rel, (lhs, rhs) in sides.items():
-                for pattern, replacement, sign in ((lhs, rhs, 1), (rhs, lhs, -1)):
-                    span = len(pattern)
-                    if length - span + len(replacement) > length_cap:
-                        continue
-                    for i in range(length - span + 1):
-                        if state[i : i + span] == pattern:
-                            children.append(
-                                (
-                                    state[:i] + replacement + state[i + span :],
-                                    ("rel", (rel, sign), i),
-                                )
-                            )
-            for child, move in children:
+            for child, move in space.moves(state, length_cap):
                 if child not in parents:
                     parents[child] = (state, move)
                     next_frontier.append(child)
-                    if child == goal:
-                        found = True
-            if len(parents) > max_states:
-                return None
+            if goal in parents or len(parents) > max_states:
+                break
         frontier = next_frontier
-        if not frontier:
-            break
-    if not found:
+    if goal not in parents:
         return None
-
-    # Walk the parent chain backwards, then emit whiskered moves forwards.
-    path: list[tuple[tuple, tuple]] = []
+    steps: list[Derivation] = []
     state = goal
     while parents[state] is not None:
-        prev, move = parents[state]
-        path.append((prev, move))
-        state = prev
-    path.reverse()
-    if not path:
-        return Id(source)
-
-    def as_word(letters: tuple[Letter, ...]) -> Word:
-        return Word.from_letters(letters, p.gens, at=cell)
-
-    moves: list[Derivation] = []
-    for state, (kind, payload, i) in path:
-        if kind == "cancel":
-            letter = payload
-            span = 2
-            core: Derivation = (
-                CancelRight(letter.gen) if letter.sign > 0 else CancelLeft(letter.gen)
-            )
-        elif kind == "insert":
-            letter = payload
-            span = 0
-            core = Inv(
-                CancelRight(letter.gen) if letter.sign > 0 else CancelLeft(letter.gen)
-            )
+        state, (kind, i, what) = parents[state]
+        if kind == "rel":
+            rel, sign = what
+            core: Derivation = Gen(rel, sign)
+            span = len(p.rels[rel][0 if sign > 0 else 1])
         else:
-            rel, sign = payload
-            span = len(sides[rel][0] if sign > 0 else sides[rel][1])
-            core = Gen(rel, sign)
-        prefix = as_word(state[:i])
-        suffix = as_word(state[i + span :])
-        moves.append(whisker(p, prefix, core, suffix))
-    return chain(moves)
+            core = CancelRight(what.gen) if what.sign > 0 else CancelLeft(what.gen)
+            span = 2
+            if kind == "insert":
+                core, span = Inv(core), 0
+        steps.append(whisker(p, space.decode(state[:i]), core, space.decode(state[i + span :])))
+    if not steps:
+        return Id(source)
+    return chain(reversed(steps))

@@ -10,13 +10,17 @@ explicit operation.
 
 Word values are immutable; every operation returns a new word.
 
-Text syntax, used in presentation files and on the command line::
+Text syntax, read by scan_word for every word reader in the package
+(presentation files, rewriting systems, .tz scripts, the command line)::
 
     word := "1" | term (ws term)*
     term := ident | ident "'" | ident "^" int
 
 ``a b' a^2`` denotes a+ b- a+ a+, ``a^-2`` denotes a- a-, ``a^0`` denotes
-nothing, and ``1`` (or the empty string) denotes an identity word.
+nothing, and ``1`` (or the empty string) denotes an identity word.  Nothing
+else is a term: ``a'^2``, ``a^+2``, ``a ^2`` and ``a ' b`` are errors.  A word
+may hold at most MAX_WORD_LETTERS letters; a term that would pass the limit
+is rejected before it is expanded.
 """
 
 from __future__ import annotations
@@ -31,12 +35,19 @@ __all__ = [
     "Letter",
     "Word",
     "parse_word",
+    "scan_word",
+    "scan_terms",
+    "expand_runs",
     "format_word",
     "IDENT_RE",
+    "MAX_WORD_LETTERS",
 ]
 
 # Identifiers for cells at every level: a letter, then letters/digits/underscores.
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+# The longest word any reader builds from text.
+MAX_WORD_LETTERS = 10**6
 
 # Endpoint map type: generator name -> (source 0-cell, target 0-cell).
 GenMap = Mapping[str, tuple[str, str]]
@@ -175,9 +186,74 @@ def format_word(word: Word) -> str:
     return " ".join(parts)
 
 
-_TERM_RE = re.compile(
-    r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)(?:(?P<prime>')|\^(?P<exp>-?\d+))?$"
-)
+_TERM_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:(')|\^(-?)0*([0-9]+))?")
+_SPACED_RE = re.compile(r"\S+")
+_MAX_DIGITS = len(str(MAX_WORD_LETTERS))
+
+# One run of a word: ``count`` letters of generator ``gen`` with ``sign``,
+# read from the term at ``line``/``column``.
+Run = tuple[str, int, int, int, int]
+
+
+def scan_terms(tokens) -> list[Run]:
+    """Read whitespace-free tokens, each with its line and column, as a word.
+
+    This is the word grammar of the module docstring, and the only code that
+    reads it.  A lone ``1`` (or no token) is the identity word and gives no
+    runs.  Raises ParseError, located at the offending token, for a token
+    that is not a term, for ``1`` beside other terms, and for a term that
+    would take the word past MAX_WORD_LETTERS letters.
+    """
+    runs: list[Run] = []
+    total = 0
+    alone = False  # a "1" was read, so no token may follow
+    terms: dict[str, tuple[str, int, int]] = {}  # a term spelled twice reads the same
+    for text, line, column in tokens:
+        if alone or (text == "1" and runs):
+            raise ParseError("the identity word '1' stands alone", SourceSpan(line, column))
+        if text == "1":
+            alone = True
+            continue
+        term = terms.get(text)
+        if term is None:
+            match = _TERM_RE.fullmatch(text)
+            if match is None:
+                raise ParseError(
+                    f"bad word term {text!r}", SourceSpan(line, column, len(text))
+                )
+            gen, prime, minus, digits = match.groups()
+            # Leading zeros are not in ``digits``, so more digits than the cap
+            # has is over the cap, and so is their prefix: a huge exponent is
+            # never converted.
+            count = 1 if digits is None else int(digits[: _MAX_DIGITS + 1])
+            term = terms[text] = (gen, -1 if prime or minus else 1, count)
+        gen, sign, count = term
+        total += count
+        if total > MAX_WORD_LETTERS:
+            raise ParseError(
+                f"word exceeds MAX_WORD_LETTERS ({MAX_WORD_LETTERS} letters)",
+                SourceSpan(line, column, len(text)),
+            )
+        runs.append((gen, sign, count, line, column))
+    return runs
+
+
+def expand_runs(runs: list[Run], gens: GenMap) -> list[Letter]:
+    """The letters of scanned runs; ParseError names an unknown generator."""
+    letters: list[Letter] = []
+    for gen, sign, count, line, column in runs:
+        if gen not in gens:
+            raise ParseError(f"unknown generator {gen!r}", SourceSpan(line, column, len(gen)))
+        letters += [Letter(gen, sign)] * count
+    return letters
+
+
+def scan_word(text: str, line: int = 1, column: int = 1) -> list[Run]:
+    """scan_terms over the whitespace-separated tokens of one line of text,
+    whose first character sits at ``line``/``column``."""
+    return scan_terms(
+        [(match.group(), line, column + match.start()) for match in _SPACED_RE.finditer(text)]
+    )
 
 
 def parse_word(
@@ -193,33 +269,11 @@ def parse_word(
     ``line``/``column`` seed error locations when the text is embedded in a
     larger file.
     """
-    tokens = text.split()
-    if not tokens or tokens == ["1"]:
-        if at is None:
-            raise ParseError(
-                "identity word needs a 0-cell from context", SourceSpan(line, column)
-            )
-        return Word.identity(at)
-    letters: list[Letter] = []
-    for token in tokens:
-        match = _TERM_RE.match(token)
-        if match is None:
-            raise ParseError(
-                f"bad word term {token!r}", SourceSpan(line, column, len(token))
-            )
-        name = match.group("ident")
-        if name not in gens:
-            raise ParseError(
-                f"unknown generator {name!r}", SourceSpan(line, column, len(name))
-            )
-        if match.group("prime"):
-            letters.append(Letter(name, -1))
-        elif match.group("exp") is not None:
-            exp = int(match.group("exp"))
-            sign = 1 if exp > 0 else -1
-            letters.extend(Letter(name, sign) for _ in range(abs(exp)))
-        else:
-            letters.append(Letter(name, 1))
+    letters = expand_runs(scan_word(text, line, column), gens)
+    if not letters and at is None:
+        raise ParseError(
+            "identity word needs a 0-cell from context", SourceSpan(line, column)
+        )
     try:
         return Word.from_letters(letters, gens, at=at)
     except EndpointMismatch as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 from polygraph import presentations, tietze
+from polygraph.errors import ParseError
 from polygraph.model import (
     CancelLeft,
     CancelRight,
@@ -31,8 +32,9 @@ from polygraph.rewriting import (
     complete,
     encode,
     normalize_bytes,
+    parse_system,
 )
-from polygraph.words import Letter, Word, format_word, parse_word
+from polygraph.words import MAX_WORD_LETTERS, Letter, Word, format_word, parse_word
 
 # --------------------------------------------------------------- generators
 
@@ -360,3 +362,116 @@ def _random_strategy_normalize(
             return cur
         i, rule = rng.choice(sites)
         cur = cur[:i] + rule.rhs + cur[i + len(rule.lhs):]
+
+
+# ------------------------------------------------------------ word grammar
+#
+# Four entry points read word text: parse_word, a .plg relation side,
+# RewritingSystem.word_bytes, and a parse_system rule line.  Each reader
+# below embeds the text where that entry point meets it and returns the
+# letters it read, as bytes over the group encoding of _GRAMMAR_P; next to
+# it is where the text starts in that embedding, as (line, column).
+
+_GRAMMAR_P = presentations.parse("< a, b, c1 | >")
+_GRAMMAR_MAX_LEN = 12  # the most letters a random word in the suite has
+_PLG_HEAD = "< a, b, c1 | "
+# One letter longer than any word read here, so the rule always decreases
+# shortlex whatever its right side reads as.
+_SYSTEM_HEAD = f"a^{_GRAMMAR_MAX_LEN + 1} -> "
+
+
+def _read_word(text: str) -> bytes:
+    return encode(_GRAMMAR_P).word_bytes(parse_word(text, _GRAMMAR_P.gens, at="*"))
+
+
+def _read_plg(text: str) -> bytes:
+    q = presentations.parse(f"{_PLG_HEAD}{text} = 1 >")
+    return encode(_GRAMMAR_P).word_bytes(q.rels["r1"][0])
+
+
+def _read_bytes(text: str) -> bytes:
+    return encode(_GRAMMAR_P).word_bytes(text)
+
+
+def _read_system(text: str) -> bytes:
+    order = " < ".join(encode(_GRAMMAR_P).alphabet.letters)
+    return parse_system(f"order: {order}\n{_SYSTEM_HEAD}{text}\n").rules[0].rhs
+
+
+WORD_READERS = {
+    "parse_word": (_read_word, (1, 1)),
+    "plg": (_read_plg, (1, len(_PLG_HEAD) + 1)),
+    "word_bytes": (_read_bytes, (1, 1)),
+    "parse_system": (_read_system, (2, len(_SYSTEM_HEAD) + 1)),
+}
+
+
+# Spellings outside the grammar, with the term each error must point at.
+BAD_SPELLINGS = [
+    ("a'^2", "a'^2"),
+    ("a^+2", "a^+2"),
+    ("a ^2", "^2"),
+    ("a ' b", "'"),
+    ("a^", "a^"),
+    ("1 a", "a"),
+    (f"b a^{MAX_WORD_LETTERS}", f"a^{MAX_WORD_LETTERS}"),
+]
+
+
+def spellings(w: Word, rng: random.Random) -> list[str]:
+    """Ways to write w: format_word's powers, letter by letter with primes,
+    letter by letter with ^1/^-1, and runs cut into random powers with
+    an occasional ^0 term in between."""
+    if not w.letters:
+        return ["1", "", "b^0", "a^-0 b^0"]
+    primes = " ".join(str(letter) for letter in w.letters)
+    powers = " ".join(f"{lt.gen}^{lt.sign}" for lt in w.letters)
+    runs: list[list] = []
+    for letter in w.letters:
+        if runs and runs[-1][0] == letter:
+            runs[-1][1] += 1
+        else:
+            runs.append([letter, 1])
+    terms: list[str] = []
+    for letter, count in runs:
+        while count:
+            k = rng.randint(1, count)
+            count -= k
+            if k == 1 and rng.random() < 0.5:
+                terms.append(str(letter))
+            else:
+                terms.append(f"{letter.gen}^{k * letter.sign}")
+            if rng.random() < 0.2:
+                terms.append(f"{rng.choice(['a', 'b'])}^0")
+    return [format_word(w), primes, powers, "  ".join(terms)]
+
+
+def run_word_grammar_suite(seed: int = 0, cases: int = 300) -> int:
+    """Every spelling of a random word reads as the same letters through
+    all four entry points, and every bad spelling is a ParseError located
+    at its offending term in each of them."""
+    rng = random.Random(seed)
+    ran = 0
+    for _ in range(cases):
+        w = random_walk(_GRAMMAR_P, rng, max_len=rng.choice([0, 3, _GRAMMAR_MAX_LEN]))
+        expected = encode(_GRAMMAR_P).word_bytes(w)
+        for text in spellings(w, rng):
+            for name, (read, _) in WORD_READERS.items():
+                if name == "plg" and not text:
+                    continue  # a .plg relation side is never blank
+                got = read(text)
+                assert got == expected, (name, text, got, expected)
+        ran += 1
+    for text, culprit in BAD_SPELLINGS:
+        for name, (read, (line, column)) in WORD_READERS.items():
+            try:
+                read(text)
+            except ParseError as exc:
+                span = exc.span
+            else:
+                raise AssertionError(f"{name} accepted {text!r}")
+            assert span is not None, (name, text)
+            assert (span.line, span.column) == (line, column + text.index(culprit)), (
+                name, text, span,
+            )
+    return ran

@@ -153,6 +153,14 @@ class TestEq:
         }
 
 
+    def test_both_methods_read_the_same_word_grammar(self, capsys):
+        # z5 converges, so eq uses normal forms; b3 falls back to search.
+        for path in (Z5, B3):
+            code, out, err = run(capsys, ["eq", path, "a'^2", "a' a'", "--max-rules", "50"])
+            assert (code, out) == (1, ""), path
+            assert "bad word term \"a'^2\"" in err
+
+
 class TestEnumerate:
     def test_lists_shortlex_normal_forms(self, capsys):
         code, out, err = run(capsys, ["enumerate", Z5])
@@ -209,6 +217,22 @@ class TestTietze:
         assert code == 3
         assert out == ""
         assert "does not verify" in err
+
+    def test_a_deeply_nested_witness_is_checked_without_a_traceback(self, tmp_path):
+        witness = "(inv " * 3000 + "(gen r1 +)" + ")" * 3000
+        script = tmp_path / "deep.tz"
+        script.write_text(f"T2 r2 : a b a = b a b WITNESS {witness}\n")
+        root = DATA.parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "polygraph", "tietze", B3, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "< a, b | a b a = b a b, a b a = b a b >\n"
+        assert "Traceback" not in proc.stderr
 
     def test_missing_script_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, ["tietze", B3, str(DATA / "nope.tz")])

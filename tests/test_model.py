@@ -152,3 +152,13 @@ class TestStepAndChain:
 
 def test_boundary_law_properties():
     assert props.run_boundary_laws_suite(seed=31, cases=1000) == 1000
+
+
+def test_boundary_of_a_deep_chain_needs_no_recursion():
+    b3 = load("b3.plg")
+    a = b3.word("a")
+    assert boundary(b3, chain([Id(a)] * 1600)) == (a, a)
+    deep = Gen("r1", 1)
+    for _ in range(3000):
+        deep = Inv(deep)
+    assert boundary(b3, deep) == b3.rels["r1"]

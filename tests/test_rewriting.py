@@ -45,17 +45,6 @@ class TestAlphabet:
         assert alpha.index("a") == 0
         assert alpha.index("a'") == 2
 
-    def test_inverse_pairing_via_apostrophe(self):
-        alpha = Alphabet(["a", "a'", "b"])
-        assert alpha.inverse_index(0) == 1
-        assert alpha.inverse_index(1) == 0
-        assert alpha.inverse_index(2) is None
-
-    def test_free_reduce(self):
-        alpha = Alphabet(["a", "a'"])
-        assert alpha.free_reduce(bytes([0, 1, 0])) == bytes([0])
-        assert alpha.free_reduce(bytes([0, 0, 1, 1])) == b""
-
     def test_duplicate_letters_rejected(self):
         with pytest.raises(ValueError):
             Alphabet(["a", "a"])
@@ -103,6 +92,14 @@ class TestEncode:
         p = presentations.parse("< a | a a' = 1 >")
         system = encode(p)
         assert ruleset(system) == {("a a'", "1"), ("a' a", "1")}
+
+    def test_relation_sides_are_freely_reduced(self):
+        p = presentations.parse("< a, b | a a' b a = b b >")
+        assert ruleset(encode(p)) == {
+            ("a a'", "1"), ("a' a", "1"),
+            ("b b'", "1"), ("b' b", "1"),
+            ("b b", "b a"),
+        }
 
     def test_multiple_cells_unsupported(self):
         p = presentations.parse(

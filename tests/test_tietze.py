@@ -9,7 +9,8 @@ import pytest
 import props
 from conftest import DATA, load
 from polygraph.errors import ParseError, TietzeError, UnknownGenerator
-from polygraph.model import Gen, Id, boundary, euler_data
+from polygraph.model import Gen, Id, Inv, boundary, chain, euler_data
+from polygraph.oracle import SearchSpace
 from polygraph.presentations import parse
 from polygraph.rewriting import (
     Converged,
@@ -430,6 +431,39 @@ class TestSynthesizeWitness:
         witness = synthesize_witness(trimmed, lhs, rhs)
         assert witness is not None
         assert verify(b3full, InvT2(rel="r1", witness=witness))
+
+
+    def test_every_labelled_move_replays_as_its_own_witness(self):
+        p = parse("< a, b | a b a = b a b, a a = 1 >")
+        space = SearchSpace(p)
+        state = space.encode("a a b b' a b a")
+        moves = list(space.moves(state, length_cap=9))
+        assert {kind for _, (kind, _, _) in moves} == {"cancel", "insert", "rel"}
+        for child, _ in moves:
+            source, target = space.decode(state), space.decode(child)
+            witness = synthesize_witness(p, source, target, radius=1)
+            assert boundary(p, witness) == (source, target)
+
+
+class TestDeepDerivations:
+    def test_format_and_parse_a_long_chain(self, b3):
+        a = b3.word("a")
+        text = format_derivation(chain([Id(a)] * 1600))
+        assert text == "(v " * 1599 + "(id a)" + " (id a))" * 1599
+        assert format_derivation(parse_derivation(text, b3)) == text
+
+    def test_parse_a_deeply_nested_witness(self, b3):
+        text = "(inv " * 3000 + "(gen r1 +)" + ")" * 3000
+        deep = parse_derivation(text, b3)
+        assert boundary(b3, deep) == b3.rels["r1"]
+        for _ in range(3000):
+            assert isinstance(deep, Inv)
+            deep = deep.inner
+        assert deep == Gen("r1", 1)
+
+    def test_unbalanced_deep_text_is_a_parse_error(self, b3):
+        with pytest.raises(ParseError, match="end of derivation"):
+            parse_derivation("(inv " * 3000 + "(gen r1 +)" + ")" * 2999, b3)
 
 
 def test_random_rewirings_cancel_exactly():

@@ -4,7 +4,7 @@ import pytest
 
 import props
 from polygraph.errors import EndpointMismatch, ParseError, UnknownGenerator
-from polygraph.words import Letter, Word, format_word, parse_word
+from polygraph.words import MAX_WORD_LETTERS, Letter, Word, format_word, parse_word, scan_word
 
 GENS = {"a": ("*", "*"), "b": ("*", "*")}
 TYPED = {"f": ("x", "y"), "g": ("y", "z")}
@@ -110,8 +110,47 @@ class TestWordText:
         with pytest.raises(ParseError) as err:
             parse_word("a 3b", GENS, line=7, column=1)
         assert err.value.span is not None
-        assert err.value.span.line == 7
+        assert (err.value.span.line, err.value.span.column) == (7, 3)
+
+    def test_scan_reads_runs_with_positions(self):
+        assert scan_word("a b'  a^-3 b^0", line=2, column=5) == [
+            ("a", 1, 1, 2, 5),
+            ("b", -1, 1, 2, 7),
+            ("a", -1, 3, 2, 11),
+            ("b", 1, 0, 2, 16),
+        ]
+        assert scan_word("1") == scan_word("") == scan_word("   ") == []
+
+    @pytest.mark.parametrize("text", ["a'^2", "a^+2", "a ^2", "a ' b", "a^", "1 a", "a 1", "1 1"])
+    def test_scan_rejects_text_outside_the_grammar(self, text):
+        with pytest.raises(ParseError):
+            scan_word(text)
+
+
+class TestWordLengthCap:
+    def test_a_word_may_reach_the_cap(self):
+        assert scan_word(f"a^{MAX_WORD_LETTERS}") == [("a", 1, MAX_WORD_LETTERS, 1, 1)]
+
+    def test_one_term_past_the_cap_is_rejected_before_expansion(self):
+        with pytest.raises(ParseError, match="MAX_WORD_LETTERS") as err:
+            parse_word(f"a^-{MAX_WORD_LETTERS + 1}", GENS, at="*")
+        assert (err.value.span.line, err.value.span.column) == (1, 1)
+
+    def test_the_cap_counts_the_whole_word(self):
+        with pytest.raises(ParseError, match="MAX_WORD_LETTERS") as err:
+            scan_word(f"b a^{MAX_WORD_LETTERS - 1} b'")
+        assert err.value.span.column == len(f"b a^{MAX_WORD_LETTERS - 1} ") + 1
+
+    def test_an_exponent_too_long_to_convert_is_over_the_cap(self):
+        # int() refuses strings of more than a few thousand digits.
+        with pytest.raises(ParseError, match="MAX_WORD_LETTERS"):
+            scan_word("a^" + "9" * 5000)
+        assert scan_word("a^" + "0" * 5000 + "2") == [("a", 1, 2, 1, 1)]
 
 
 def test_free_reduction_properties():
     assert props.run_free_reduction_suite(seed=11, cases=1200) == 1200
+
+
+def test_every_word_reader_shares_one_grammar():
+    assert props.run_word_grammar_suite(seed=71, cases=1000) == 1000

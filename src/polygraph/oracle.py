@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import LawViolation, MultiObjectUnsupported
+from .errors import LawViolation, MultiObjectUnsupported, UnknownGenerator
 from .model import Polygraph
 from .words import Letter, Word
 
@@ -72,49 +72,35 @@ class SearchSpace:
                 f"{len(p.cells0)}"
             )
         self.polygraph = p
-        self._gens = list(p.gens)
-        self._index = {g: i for i, g in enumerate(self._gens)}
-        n = len(self._gens)
-        self._n = n
-        self._letters = tuple(
-            Letter(g, sign) for sign in (1, -1) for g in self._gens
-        )
+        n = len(p.gens)
+        self._letters = tuple(Letter(g, sign) for sign in (1, -1) for g in p.gens)
+        self._codes = {letter: i for i, letter in enumerate(self._letters)}
         self._mates = tuple(range(n, 2 * n)) + tuple(range(n))
         self._pairs = tuple((letter, self._mates[letter]) for letter in range(2 * n))
         # Both replacement directions for every relation.
         self._swaps: list[tuple[_State, _State, tuple[str, int]]] = []
         for rel, (lhs, rhs) in p.rels.items():
-            left = self._encode(lhs)
-            right = self._encode(rhs)
+            left = self.encode(lhs)
+            right = self.encode(rhs)
             self._swaps.append((left, right, (rel, 1)))
             if left != right:
                 self._swaps.append((right, left, (rel, -1)))
 
-    def _encode(self, word: Word) -> _State:
-        n = self._n
-        return tuple(
-            self._index[lt.gen] + (0 if lt.sign > 0 else n) for lt in word.letters
-        )
+    def _word(self, word: Word | str) -> Word:
+        """A Word over the presentation; text is parsed against it."""
+        return self.polygraph.word(word) if isinstance(word, str) else word
 
     def encode(self, word: Word | str) -> _State:
-        if isinstance(word, str):
-            word = self.polygraph.word(word)
-        return self._encode(word)
+        letters = self._word(word).letters
+        try:
+            return tuple(self._codes[letter] for letter in letters)
+        except KeyError as exc:
+            raise UnknownGenerator(f"unknown generator {exc.args[0].gen!r}") from None
 
     def decode(self, state: _State) -> Word:
         """The Word a state spells, at the presentation's one 0-cell."""
         cell = self.polygraph.cells0[0]
         return Word(tuple(self._letters[letter] for letter in state), cell, cell)
-
-    def reduce(self, state: _State) -> _State:
-        """Free reduction: cancel adjacent mutually inverse letters."""
-        stack: list[int] = []
-        for letter in state:
-            if stack and stack[-1] == self._mates[letter]:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return tuple(stack)
 
     def moves(self, state: _State, length_cap: int) -> Iterator[tuple[_State, Move]]:
         """Every word one elementary move away, each with its Move label:
@@ -151,23 +137,10 @@ def bfs_reach(
     length_cap: int,
 ) -> dict[_State, int]:
     """Every word reachable from the free reduction of ``start``, with its
-    distance in moves.  Keys are internal letter tuples; use a SearchSpace's
-    ``encode``/``reduce`` to look up targets."""
+    distance in moves.  Keys are internal letter tuples; look up a target
+    with a SearchSpace's ``encode`` of its ``Word.reduce``."""
     space = p_or_space if isinstance(p_or_space, SearchSpace) else SearchSpace(p_or_space)
-    origin = space.reduce(space.encode(start))
-    seen: dict[_State, int] = {origin: 0}
-    frontier = [origin]
-    for depth in range(1, radius + 1):
-        next_frontier: list[_State] = []
-        for state in frontier:
-            for child, _ in space.moves(state, length_cap):
-                if child not in seen:
-                    seen[child] = depth
-                    next_frontier.append(child)
-        frontier = next_frontier
-        if not frontier:
-            break
-    return seen
+    return dict(_search(space, space.encode(space._word(start).reduce()), radius, length_cap))
 
 
 def bfs_equal(
@@ -188,29 +161,36 @@ def bfs_equal(
     within this radius and length cap.
     """
     space = p if isinstance(p, SearchSpace) else SearchSpace(p)
-    start = space.reduce(space.encode(u))
-    goal = space.reduce(space.encode(v))
+    u, v = space._word(u), space._word(v)
+    start = space.encode(u.reduce())
+    goal = space.encode(v.reduce())
     if length_cap is None:
-        u_len = len(u) if isinstance(u, Word) else len(space.encode(u))
-        v_len = len(v) if isinstance(v, Word) else len(space.encode(v))
-        length_cap = default_length_cap(u_len, v_len, radius)
-    if start == goal:
-        return Equal(0)
-    seen = {start}
-    frontier = [start]
+        length_cap = default_length_cap(len(u), len(v), radius)
+    for state, depth in _search(space, start, radius, length_cap):
+        if state == goal:
+            return Equal(depth)
+    return NotWithinRadius()
+
+
+def _search(
+    space: SearchSpace, origin: _State, radius: int, length_cap: int
+) -> Iterator[tuple[_State, int]]:
+    """Breadth-first: each word within ``radius`` moves of ``origin``, once,
+    with its distance, nearest first."""
+    yield origin, 0
+    seen = {origin}
+    frontier = [origin]
     for depth in range(1, radius + 1):
         next_frontier: list[_State] = []
         for state in frontier:
             for child, _ in space.moves(state, length_cap):
-                if child == goal:
-                    return Equal(depth)
                 if child not in seen:
                     seen.add(child)
                     next_frontier.append(child)
+                    yield child, depth
         frontier = next_frontier
         if not frontier:
             break
-    return NotWithinRadius()
 
 
 # ------------------------------------------------------------- group tables

@@ -26,7 +26,8 @@ header, and parses back with parse_system()::
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 
 from .errors import (
@@ -102,6 +103,18 @@ class Alphabet:
             raise UnknownGenerator(f"letter {name!r} is not in the alphabet")
         return self._index[name]
 
+    def word_bytes(self, word) -> bytes:
+        """Encode a Word, word text, or bytes into letter indices."""
+        if isinstance(word, bytes):
+            return word
+        if isinstance(word, Word):
+            return bytes(
+                self.index(_letter_name(letter.gen, letter.sign)) for letter in word.letters
+            )
+        if isinstance(word, str):
+            return self.encode_runs(scan_word(word))
+        raise TypeError(f"cannot encode {word!r} as a word")
+
     def encode_runs(self, runs) -> bytes:
         """Letter indices of words.scan_word runs; UnknownGenerator for a
         letter outside the alphabet."""
@@ -136,32 +149,33 @@ def _slex_greater(a: bytes, b: bytes) -> bool:
     return (len(a), a) > (len(b), b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewritingSystem:
-    """An alphabet plus an ordered rule list.
+    """An alphabet plus an ordered rule tuple: an immutable value.
 
     ``convergent`` is "proven" only when a convergence certificate exists
-    (complete() verifies its own output; verify_convergent() checks any
-    system).  Operations that need unique normal forms refuse to run on an
-    unproven system rather than silently return junk.
+    for exactly these rules: complete() and certify() are the only ways to
+    get a proven system, and the constructor and ``dataclasses.replace``
+    always give "unknown".  Operations that need unique normal forms refuse
+    to run on an unproven system rather than silently return junk.
     """
 
     alphabet: Alphabet
-    rules: list[Rule]
-    convergent: str = UNKNOWN
+    rules: tuple[Rule, ...]
+    convergent: str = field(default=UNKNOWN, init=False)
+
+    def __post_init__(self):
+        # A caller's list would let the rules change under the cached index.
+        object.__setattr__(self, "rules", tuple(self.rules))
+
+    @cached_property
+    def _matcher(self) -> _Matcher:
+        """The compiled rule index every query on this system shares."""
+        return _Matcher(self.rules)
 
     def word_bytes(self, word) -> bytes:
         """Encode a Word, word text, or bytes into internal letters."""
-        if isinstance(word, bytes):
-            return word
-        if isinstance(word, Word):
-            return bytes(
-                self.alphabet.index(_letter_name(letter.gen, letter.sign))
-                for letter in word.letters
-            )
-        if isinstance(word, str):
-            return self.alphabet.encode_runs(scan_word(word))
-        raise TypeError(f"cannot encode {word!r} as a word")
+        return self.alphabet.word_bytes(word)
 
     def word_text(self, word: bytes) -> str:
         """Decode internal letters back to word text (``1`` when empty)."""
@@ -217,7 +231,6 @@ def encode(
         for i in range(n):
             rules.append(Rule(bytes([i, i + n]), b""))
             rules.append(Rule(bytes([i + n, i]), b""))
-    system = RewritingSystem(alphabet, rules)
     for rel, (lhs, rhs) in p.rels.items():
         if not inverses:
             for side in (lhs, rhs):
@@ -227,8 +240,8 @@ def encode(
                             f"relation {rel}: inverse letter {letter} has no"
                             " place in an inverse-free encoding"
                         )
-        left = system.word_bytes(lhs.reduce())
-        right = system.word_bytes(rhs.reduce())
+        left = alphabet.word_bytes(lhs.reduce())
+        right = alphabet.word_bytes(rhs.reduce())
         if left == right:
             logger.info("relation %s is freely trivial; dropped from the encoding", rel)
             continue
@@ -236,7 +249,7 @@ def encode(
             rules.append(Rule(left, right))
         else:
             rules.append(Rule(right, left))
-    return system
+    return RewritingSystem(alphabet, rules)
 
 
 # ----------------------------------------------------------------- normalize
@@ -245,10 +258,10 @@ def encode(
 class _Matcher:
     """Leftmost-then-lowest-rule-index matching, bucketed by first letter."""
 
-    def __init__(self, rules: list[Rule]):
+    def __init__(self, rules):
         self.buckets: dict[int, list[tuple[bytes, bytes]]] = {}
         self.max_lhs = 1
-        for rule in rules:  # list order is the rule index order
+        for rule in rules:  # rule order is the rule index order
             self.buckets.setdefault(rule.lhs[0], []).append((rule.lhs, rule.rhs))
             self.max_lhs = max(self.max_lhs, len(rule.lhs))
 
@@ -288,7 +301,7 @@ def normalize(system: RewritingSystem, word, max_steps: int = DEFAULT_MAX_STEPS)
 def normalize_bytes(
     system: RewritingSystem, word: bytes, max_steps: int = DEFAULT_MAX_STEPS
 ) -> bytes:
-    return _Matcher(system.rules).normalize(word, max_steps)
+    return system._matcher.normalize(word, max_steps)
 
 
 # ----------------------------------------------------------------- critical pairs
@@ -320,12 +333,12 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
 # ----------------------------------------------------------------- completion
 
 
-@dataclass
+@dataclass(frozen=True)
 class Converged:
     system: RewritingSystem
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaveUp:
     system: RewritingSystem  # the partial, non-convergent rule set
     reason: str  # which limit fired: "max_rules" | "max_lhs_len" | "max_steps"
@@ -414,17 +427,16 @@ def complete(
                 push(pair.peak, pair.left, pair.right)
         for pair in _pairs_between(new_rule, new_rule):
             push(pair.peak, pair.left, pair.right)
-    result = _snapshot(alphabet, active)
-    check = verify_convergent(result)
-    if not isinstance(check, Proven):
-        raise InternalError(f"completion produced a non-convergent system: {check}")
-    result.convergent = PROVEN
-    return Converged(result)
+    try:
+        return Converged(certify(_snapshot(alphabet, active)))
+    except NotConvergent as exc:
+        raise InternalError(f"completion produced a non-convergent system: {exc}") from None
 
 
 def _snapshot(alphabet: Alphabet, active: dict[int, Rule]) -> RewritingSystem:
-    rules = [active[rid] for rid in sorted(active)]
-    return RewritingSystem(alphabet, rules)
+    # Rule ids only grow and a rewritten right side keeps its slot, so the
+    # dict's insertion order is the rule-id order.
+    return RewritingSystem(alphabet, active.values())
 
 
 def _pairs_between(r1: Rule, r2: Rule):
@@ -444,12 +456,12 @@ def _pairs_between(r1: Rule, r2: Rule):
 # ----------------------------------------------------------------- verification
 
 
-@dataclass
+@dataclass(frozen=True)
 class Proven:
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Refuted:
     """Two distinct normal forms reachable from one peak word."""
 
@@ -465,7 +477,7 @@ def verify_convergent(system: RewritingSystem) -> Proven | Refuted:
     shortlex, so rewriting terminates; joinable critical pairs give local
     confluence, and Newman's lemma does the rest).
     """
-    matcher = _Matcher(system.rules)
+    matcher = system._matcher
     for pair in critical_pairs(system):
         left = matcher.normalize(pair.left, DEFAULT_MAX_STEPS)
         right = matcher.normalize(pair.right, DEFAULT_MAX_STEPS)
@@ -479,32 +491,35 @@ def verify_convergent(system: RewritingSystem) -> Proven | Refuted:
 
 
 def certify(system: RewritingSystem) -> RewritingSystem:
-    """Verify convergence of a hand-built system and stamp it as proven.
+    """Verify convergence of a hand-built system; return a proven copy.
 
     Systems assembled directly (or read back via parse_system) start out
     with convergent="unknown", which blocks normal-form queries.  This runs
-    the full critical-pair check and either returns the system marked
-    proven or raises NotConvergent carrying the refutation witness.
+    the full critical-pair check and either returns a new system with the
+    same rules, marked proven, or raises NotConvergent carrying the
+    refutation witness.  The argument itself is left as it was.
     """
-    check = verify_convergent(system)
+    proven = RewritingSystem(system.alphabet, system.rules)
+    check = verify_convergent(proven)
     if isinstance(check, Refuted):
         raise NotConvergent(
             f"not convergent: peak {check.peak!r} reaches "
             f"{check.left!r} and {check.right!r}"
         )
-    system.convergent = PROVEN
-    return system
+    # The one place a stamp is set: on a value no caller holds yet.
+    object.__setattr__(proven, "convergent", PROVEN)
+    return proven
 
 
 # ----------------------------------------------------------------- normal forms
 
 
-@dataclass
+@dataclass(frozen=True)
 class Finite:
     words: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MoreThanCap:
     found: int
 
@@ -547,9 +562,8 @@ def word_equal(system: RewritingSystem, u, v) -> bool:
     """Decide equality via unique normal forms (proven-convergent only)."""
     if system.convergent != PROVEN:
         raise NotConvergent("word_equal requires a proven-convergent system")
-    matcher = _Matcher(system.rules)
-    return matcher.normalize(system.word_bytes(u), DEFAULT_MAX_STEPS) == matcher.normalize(
-        system.word_bytes(v), DEFAULT_MAX_STEPS
+    return normalize_bytes(system, system.word_bytes(u)) == normalize_bytes(
+        system, system.word_bytes(v)
     )
 
 

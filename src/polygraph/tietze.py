@@ -292,12 +292,12 @@ def apply_script(p: Polygraph, steps) -> Polygraph:
     """Apply steps in order; a failure aborts with the state attached."""
     here = p
     for i, step in enumerate(steps):
-        check = verify(here, step)
-        if not check:
-            error = TietzeError(f"step {i + 1} ({type(step).__name__}): {check.reason}")
+        try:
+            here = apply(here, step)
+        except TietzeError as exc:
+            error = TietzeError(f"step {i + 1} ({type(step).__name__}): {exc}")
             error.state = here
-            raise error
-        here = apply(here, step)
+            raise error from None
     return here
 
 
@@ -625,14 +625,12 @@ def parse_script(text: str, p: Polygraph) -> list[TietzeStep]:
         else:
             raise err(f"unknown step {head!r}")
 
-        check = verify(here, step)
-        if not check:
-            error = TietzeError(
-                f"line {line_no}: {type(step).__name__} does not verify: {check.reason}"
-            )
+        try:
+            here = apply(here, step)
+        except TietzeError as exc:
+            error = TietzeError(f"line {line_no}: {type(step).__name__} does not verify: {exc}")
             error.state = here
-            raise error
-        here = apply(here, step)
+            raise error from None
         steps.append(step)
     return steps
 

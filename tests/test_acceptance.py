@@ -295,7 +295,7 @@ def _crosscheck(p, system, words, radius, length_cap):
     """
     space = SearchSpace(p)
     nf = {w: normalize(system, w) for w in words}
-    key_of = {w: space.reduce(space.encode(w)) for w in words}
+    key_of = {w: space.encode(p.word(w).reduce()) for w in words}
     sources: dict = {}
     for w in words:
         sources.setdefault(key_of[w], w)

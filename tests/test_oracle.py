@@ -12,6 +12,7 @@ from polygraph.errors import (
     InfiniteOrUnknown,
     LawViolation,
     MultiObjectUnsupported,
+    UnknownGenerator,
 )
 from polygraph.oracle import (
     Equal,
@@ -26,6 +27,7 @@ from polygraph.oracle import (
 )
 from polygraph.presentations import parse
 from polygraph.rewriting import Converged, complete, encode, word_equal
+from polygraph.words import Letter, Word
 
 TYPED = """polygraph
 cells: x y
@@ -42,8 +44,8 @@ class TestSearchSpace:
 
     def test_encode_reduce_round_trip(self, b3):
         space = SearchSpace(b3)
-        state = space.encode("a b a' a b'")
-        assert space.reduce(state) == space.encode("a")
+        word = b3.word("a b a' a b'")
+        assert space.encode(word.reduce()) == space.encode("a")
 
     def test_neighbors_cover_all_three_move_kinds(self, b3):
         space = SearchSpace(b3)
@@ -97,6 +99,13 @@ class TestBfs:
             space.encode("a a a a a"): 1,
         }
         assert seen == expected
+
+    def test_foreign_generators_are_unknown(self, b3):
+        z = Word((Letter("z", 1),), "*", "*")
+        with pytest.raises(UnknownGenerator, match="'z'"):
+            bfs_equal(b3, z, "a", 2)
+        with pytest.raises(UnknownGenerator, match="'z'"):
+            bfs_reach(b3, z, 2, length_cap=6)
 
     def test_reach_respects_the_length_cap(self):
         z5 = load("z5.plg")

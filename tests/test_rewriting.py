@@ -1,10 +1,13 @@
 """String rewriting: encoding, completion, verification, and normal forms."""
 
+import dataclasses
+
 import pytest
 
 import props
 from conftest import load
 from polygraph import presentations, rewriting
+from polygraph.cayley import build_graph
 from polygraph.errors import (
     InternalError,
     MultiObjectUnsupported,
@@ -12,6 +15,7 @@ from polygraph.errors import (
     StepLimitExceeded,
     UnknownGenerator,
 )
+from polygraph.oracle import table_from_normal_forms
 from polygraph.rewriting import (
     Alphabet,
     Converged,
@@ -280,6 +284,55 @@ class TestNormalize:
     def test_step_limit(self, d5_system):
         with pytest.raises(StepLimitExceeded):
             normalize(d5_system, "r^5 s^2 r s r s", max_steps=1)
+
+
+class TestFrozenSystems:
+    def test_proven_rules_cannot_change(self, z5_system):
+        with pytest.raises(AttributeError):
+            z5_system.rules.append(z5_system.rules[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            z5_system.rules = ()
+
+    def test_replacing_the_rules_drops_the_stamp(self):
+        proven = complete(encode(presentations.parse("< a | a^5 = 1 >"))).system
+        extra = Rule(proven.word_bytes("a a"), proven.word_bytes("a"))
+        grown = dataclasses.replace(proven, rules=proven.rules + (extra,))
+        assert grown.convergent == "unknown"
+        with pytest.raises(NotConvergent):
+            enumerate_normal_forms(grown)
+
+    def test_the_constructor_cannot_stamp(self, z5_system):
+        with pytest.raises(TypeError):
+            RewritingSystem(z5_system.alphabet, z5_system.rules, "proven")
+
+    def test_a_rule_list_is_copied_on_construction(self):
+        rules = [Rule(b"\x00\x00", b"")]
+        system = RewritingSystem(Alphabet(["a"]), rules)
+        rules.append(Rule(b"\x00", b""))
+        assert system.rules == (Rule(b"\x00\x00", b""),)
+
+    def test_certify_returns_a_new_value(self):
+        hand_built = parse_system("order: a\na a -> 1\n")
+        proven = certify(hand_built)
+        assert proven is not hand_built
+        assert proven.rules == hand_built.rules
+        assert (proven.convergent, hand_built.convergent) == ("proven", "unknown")
+
+    def test_queries_share_one_matcher_per_system(self, monkeypatch, d5, d5_system):
+        builds = []
+
+        class CountingMatcher(rewriting._Matcher):
+            def __init__(self, rules):
+                builds.append(len(rules))
+                super().__init__(rules)
+
+        monkeypatch.setattr(rewriting, "_Matcher", CountingMatcher)
+        system = certify(parse_system(format_system(d5_system)))
+        build_graph(d5, system)
+        table_from_normal_forms(system)
+        for _ in range(50):
+            assert word_equal(system, "r s", "s r'")
+        assert len(builds) == 1
 
 
 class TestSerialization:

@@ -8,6 +8,7 @@ import pytest
 
 import props
 from conftest import DATA, load
+from polygraph import tietze
 from polygraph.errors import ParseError, TietzeError, UnknownGenerator
 from polygraph.model import Gen, Id, Inv, boundary, chain, euler_data
 from polygraph.oracle import SearchSpace
@@ -382,6 +383,19 @@ class TestParseScript:
         assert str(err.value).startswith("line 1: T1 does not verify:")
         assert err.value.state == b3
 
+    def test_each_t2_step_is_checked_once_per_application(self, b3, monkeypatch):
+        calls = []
+
+        def counting_boundary(p, d):
+            calls.append(d)
+            return boundary(p, d)
+
+        monkeypatch.setattr(tietze, "boundary", counting_boundary)
+        run_script(b3, f"T1 c := b a\nT2 r2 : a c = c b WITNESS {WITNESS_AC_CB}\n")
+        # parse_script and apply_script each apply the step once; an
+        # application checks the witness, then records its boundary.
+        assert len(calls) == 4
+
     def test_failures_name_the_failing_line(self, b3):
         script = "# setup\nT1 c := b a\nINV T1 nosuch\n"
         with pytest.raises(ParseError, match="0 defining relations") as err:
@@ -419,6 +433,11 @@ class TestSynthesizeWitness:
     def test_equal_words_get_an_identity_witness(self, z5):
         word = z5.word("a a")
         assert synthesize_witness(z5, word, word) == Id(word)
+
+    def test_foreign_generators_are_unknown(self, b3):
+        z = Word((Letter("z", 1),), "*", "*")
+        with pytest.raises(UnknownGenerator, match="'z'"):
+            synthesize_witness(b3, z, b3.word("a"))
 
     def test_gives_up_within_the_radius(self, b3):
         assert synthesize_witness(b3, b3.word("a"), b3.word("b"), radius=3) is None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .errors import InfiniteOrUnknown, InternalError, UnknownGenerator
 from .homology import quotient_invariants
 from .model import Polygraph
-from .rewriting import Finite, RewritingSystem, enumerate_normal_forms, normalize_bytes
+from .rewriting import MoreThanCap, RewritingSystem, _normal_form_bytes, normalize_bytes
 from .words import Word
 
 __all__ = [
@@ -99,16 +99,35 @@ class HomologySummary:
     euler: int
 
 
-def _normal_forms(p: Polygraph, system: RewritingSystem, cap: int) -> list[str]:
-    for gen in p.gens:
-        system.alphabet.index(gen)  # UnknownGenerator if absent
-    outcome = enumerate_normal_forms(system, cap=cap)
-    if not isinstance(outcome, Finite):
+def _right_action(system: RewritingSystem, letters, cap: int):
+    """The shortlex normal forms w_0 = 1, w_1, ... as internal letters, and
+    ``action[i][k]``, the index of nf(w_i · x) for the k-th of ``letters``.
+
+    A product w_i · x that is itself irreducible is its own normal form, so
+    only the other products are rewritten.
+    """
+    words = _normal_form_bytes(system, cap)
+    if isinstance(words, MoreThanCap):
         raise InfiniteOrUnknown(
             f"presentation has more than {cap} normal forms; "
             "raise the cap if the group really is finite"
         )
-    return outcome.words
+    index = {word: i for i, word in enumerate(words)}
+    action: list[list[int]] = []
+    for word in words:
+        row: list[int] = []
+        for x in letters:
+            product = word + bytes((x,))
+            if product not in index:
+                product = normalize_bytes(system, product)
+                if product not in index:
+                    raise InternalError(
+                        f"normalize({system.word_text(word)!r} * "
+                        f"{system.alphabet.letters[x]}) left the normal-form set"
+                    )
+            row.append(index[product])
+        action.append(row)
+    return words, action
 
 
 def build_graph(p: Polygraph, system: RewritingSystem, cap: int = 10000) -> CayleyGraph:
@@ -118,19 +137,15 @@ def build_graph(p: Polygraph, system: RewritingSystem, cap: int = 10000) -> Cayl
     the cap (InfiniteOrUnknown otherwise) and whose alphabet covers the
     presentation's generators (UnknownGenerator otherwise).
     """
-    words = _normal_forms(p, system, cap)
-    index = {system.word_bytes(w): i for i, w in enumerate(words)}
-    edges: list[Edge] = []
-    for src, word in enumerate(words):
-        base = system.word_bytes(word)
-        for gen in p.gens:
-            shifted = normalize_bytes(system, base + bytes([system.alphabet.index(gen)]))
-            if shifted not in index:
-                raise InternalError(
-                    f"normalize({word!r} * {gen}) left the normal-form set"
-                )
-            edges.append(Edge(src=src, dst=index[shifted], gen=gen))
-    return CayleyGraph(vertices=tuple(words), edges=tuple(edges), gens=tuple(p.gens))
+    letters = [system.alphabet.index(gen) for gen in p.gens]
+    words, action = _right_action(system, letters, cap)
+    edges = tuple(
+        Edge(src=src, dst=dst, gen=gen)
+        for src, row in enumerate(action)
+        for gen, dst in zip(p.gens, row)
+    )
+    vertices = tuple(system.word_text(word) for word in words)
+    return CayleyGraph(vertices=vertices, edges=edges, gens=tuple(p.gens))
 
 
 def _spanning_forest(g: CayleyGraph) -> tuple[list[bool], int]:
@@ -191,17 +206,11 @@ def _trace(g: CayleyGraph, out_edge, in_edge, start: int, word: Word):
     here = start
     refs: list[int] = []
     for letter in word.letters:
-        if letter.sign > 0:
-            if (here, letter.gen) not in out_edge:
-                raise UnknownGenerator(f"no edge for generator {letter.gen!r}")
-            edge_id, there = out_edge[(here, letter.gen)]
-            refs.append(edge_id + 1)
-        else:
-            if (here, letter.gen) not in in_edge:
-                raise UnknownGenerator(f"no edge for generator {letter.gen!r}")
-            edge_id, there = in_edge[(here, letter.gen)]
-            refs.append(-(edge_id + 1))
-        here = there
+        edges = out_edge if letter.sign > 0 else in_edge
+        if (here, letter.gen) not in edges:
+            raise UnknownGenerator(f"no edge for generator {letter.gen!r}")
+        edge_id, here = edges[(here, letter.gen)]
+        refs.append(edge_id + 1 if letter.sign > 0 else -(edge_id + 1))
     return refs, here
 
 

@@ -16,24 +16,11 @@ from .errors import InternalError
 
 __all__ = [
     "Matrix",
-    "matmul",
     "smith_normal_form",
     "quotient_invariants",
 ]
 
 Matrix = list[list[int]]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Plain matrix product (used by tests to check that d1 · d2 = 0)."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions differ")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for row in a
-    ]
 
 
 def smith_normal_form(a: Matrix) -> list[int]:

@@ -5,9 +5,10 @@ words under free cancellation, free insertion, and relation replacement, so
 its verdicts depend only on the presentation itself.  They deliberately never
 touch the rewriting engine — cross-validating that engine is their job.
 
-``table_from_normal_forms`` is the one deliberate exception: it consumes a
-proven-convergent system to build a multiplication table, then audits the
-group laws on the result, turning engine bugs into loud LawViolation errors.
+``table_from_normal_forms`` is the one deliberate exception: it reads a
+multiplication table off the right action of a proven-convergent system's
+Cayley graph, then audits every group law on the result, turning engine
+bugs into loud LawViolation errors.
 """
 
 from __future__ import annotations
@@ -267,32 +268,26 @@ def closure_generates(table: MultiplicationTable, subset) -> bool:
 def table_from_normal_forms(system, cap: int = 10000) -> MultiplicationTable:
     """Multiplication table of the finite group a convergent system presents.
 
-    table[i][j] is the index of normalize(w_i · w_j) in the shortlex list of
-    normal forms.  The MultiplicationTable constructor then re-checks every
+    Elements are the shortlex normal forms w_0 = 1, w_1, ..., and the rows
+    are read off the Cayley graph's right action by every alphabet letter,
+    which normalizes at most n·|alphabet| products.  Irreducible words are
+    closed under prefixes, so w_j = w_parent(j) · x for its last letter x,
+    and table[i][j] is the x-image of table[i][parent(j)]: the table itself
+    is n² lookups.  The MultiplicationTable constructor then re-checks every
     group law, so a defective system cannot produce a quiet wrong answer.
     """
-    from .errors import InfiniteOrUnknown
-    from .rewriting import Finite, enumerate_normal_forms, normalize_bytes
+    from .cayley import _right_action
 
-    outcome = enumerate_normal_forms(system, cap=cap)
-    if not isinstance(outcome, Finite):
-        raise InfiniteOrUnknown(
-            f"more than {cap} normal forms; no finite table to build"
-        )
-    words = [system.word_bytes(w) for w in outcome.words]
-    index = {w: i for i, w in enumerate(words)}
-    identity = index[b""]
+    words, action = _right_action(system, range(len(system.alphabet)), cap)
+    index = {w: j for j, w in enumerate(words)}
+    prefixes = [(index[w[:-1]], w[-1]) for w in words[1:]]
+    identity = 0  # the empty word is shortlex-first
     n = len(words)
     table: list[tuple[int, ...]] = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            product = normalize_bytes(system, words[i] + words[j])
-            if product not in index:
-                raise LawViolation(
-                    "product fell outside the enumerated normal forms"
-                )
-            row.append(index[product])
+        row = [i]
+        for parent, x in prefixes:
+            row.append(action[row[parent]][x])
         table.append(tuple(row))
     inverse = [0] * n
     for i in range(n):

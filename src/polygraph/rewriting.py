@@ -95,6 +95,9 @@ class Alphabet:
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.letters == other.letters
 
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
     def __repr__(self) -> str:
         return f"Alphabet({list(self.letters)!r})"
 
@@ -530,10 +533,18 @@ def enumerate_normal_forms(
     """List all irreducible words in shortlex order, up to a count cap.
 
     Irreducible words are closed under prefix, so they form a tree explored
-    breadth-first; a level with no survivors ends the enumeration.  Needs a
+    breadth-first; it ends when no word is left to extend.  Needs a
     proven-convergent system (then the words are exactly the distinct
     presented elements), else raises NotConvergent.
     """
+    words = _normal_form_bytes(system, cap)
+    if isinstance(words, MoreThanCap):
+        return words
+    return Finite([system.word_text(w) for w in words])
+
+
+def _normal_form_bytes(system: RewritingSystem, cap: int) -> list[bytes] | MoreThanCap:
+    """enumerate_normal_forms on internal letters: the shortlex list as bytes."""
     if system.convergent != PROVEN:
         raise NotConvergent("normal forms require a proven-convergent system")
     if cap < 1:
@@ -542,20 +553,15 @@ def enumerate_normal_forms(
     for rule in system.rules:
         by_last.setdefault(rule.lhs[-1], []).append(rule.lhs)
     words: list[bytes] = [b""]
-    level = [b""]
-    while level:
-        next_level: list[bytes] = []
-        for stem in level:
-            for letter in range(len(system.alphabet)):
-                word = stem + bytes([letter])
-                if any(word.endswith(lhs) for lhs in by_last.get(letter, ())):
-                    continue
-                if len(words) + len(next_level) + 1 > cap:
-                    return MoreThanCap(len(words) + len(next_level) + 1)
-                next_level.append(word)
-        words.extend(next_level)
-        level = next_level
-    return Finite([system.word_text(w) for w in words])
+    for stem in words:  # the list is its own breadth-first queue
+        for letter in range(len(system.alphabet)):
+            word = stem + bytes([letter])
+            if any(word.endswith(lhs) for lhs in by_last.get(letter, ())):
+                continue
+            if len(words) + 1 > cap:
+                return MoreThanCap(len(words) + 1)
+            words.append(word)
+    return words
 
 
 def word_equal(system: RewritingSystem, u, v) -> bool:

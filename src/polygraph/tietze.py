@@ -276,7 +276,8 @@ def apply(p: Polygraph, step: TietzeStep) -> Polygraph:
         else:
             out.rels[step.new_rel] = (step.word, gen_word)
     elif isinstance(step, T2):
-        out.rels[step.new_rel] = boundary(p, step.witness)
+        sphere = step.declared  # verify() proved boundary(p, witness) == declared
+        out.rels[step.new_rel] = sphere if sphere is not None else boundary(p, step.witness)
     elif isinstance(step, InvT0):
         out.cells0 = tuple(c for c in out.cells0 if c != step.cell)
         del out.gens[step.gen]

@@ -30,7 +30,7 @@ from polygraph.errors import (
     NotConvergent,
     UnknownGenerator,
 )
-from polygraph.homology import matmul
+from polygraph import rewriting
 from polygraph.rewriting import format_system, normalize, parse_system
 
 # One vertex, one loop a, and a disk glued along a a: the projective plane's
@@ -143,6 +143,30 @@ class TestBuildGraph:
         with pytest.raises(UnknownGenerator):
             build_graph(d5, z5_system)
 
+    def test_only_reducible_products_are_normalized(
+        self, monkeypatch, d5, d5_system
+    ):
+        calls = []
+        normalize_word = rewriting._Matcher.normalize
+
+        def counting(matcher, word, max_steps):
+            calls.append(word)
+            return normalize_word(matcher, word, max_steps)
+
+        monkeypatch.setattr(rewriting._Matcher, "normalize", counting)
+        g = build_graph(d5, d5_system)
+        assert 0 < len(calls) <= len(g.vertices) * len(d5.gens)
+
+    def test_a_product_outside_the_normal_forms_is_an_internal_error(
+        self, monkeypatch, z5, z5_system
+    ):
+        # A "normalization" that rewrites nothing leaves a a a a irreducible.
+        monkeypatch.setattr(
+            rewriting._Matcher, "normalize", lambda matcher, word, max_steps: word
+        )
+        with pytest.raises(InternalError, match="left the normal-form set"):
+            build_graph(z5, z5_system)
+
 
 class TestGraphInvariants:
     def test_golden_counts_and_cycle_ranks(
@@ -203,8 +227,8 @@ class TestBuildComplex:
 
     def test_boundary_operators_compose_to_zero(self, d5, d5_system):
         d1, d2 = boundary_matrices(build_complex(d5, d5_system))
-        product = matmul(d1, d2)
-        assert all(entry == 0 for row in product for entry in row)
+        product = sympy.Matrix(d1) * sympy.Matrix(d2)
+        assert all(entry == 0 for entry in product)
 
 
 class TestHomology:

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from conftest import load, note
-from polygraph import oracle
+from conftest import completed, load, note
+from polygraph import oracle, rewriting
 from polygraph.errors import (
     InfiniteOrUnknown,
+    InternalError,
     LawViolation,
     MultiObjectUnsupported,
     UnknownGenerator,
@@ -26,7 +27,14 @@ from polygraph.oracle import (
     table_from_normal_forms,
 )
 from polygraph.presentations import parse
-from polygraph.rewriting import Converged, complete, encode, word_equal
+from polygraph.rewriting import (
+    Converged,
+    complete,
+    encode,
+    enumerate_normal_forms,
+    normalize_bytes,
+    word_equal,
+)
 from polygraph.words import Letter, Word
 
 TYPED = """polygraph
@@ -225,6 +233,85 @@ def involutions(table: MultiplicationTable) -> list[int]:
         for i in range(table.size)
         if i != table.identity and table.table[i][i] == table.identity
     ]
+
+
+def reference_table(system) -> MultiplicationTable:
+    """The table as every product of two normal forms, each normalized:
+    n² normalizations, no Cayley graph."""
+    words = [system.word_bytes(w) for w in enumerate_normal_forms(system).words]
+    index = {w: i for i, w in enumerate(words)}
+    table = tuple(
+        tuple(index[normalize_bytes(system, u + v)] for v in words) for u in words
+    )
+    identity = index[b""]
+    inverse = []
+    for i, row in enumerate(table):
+        matches = [j for j, x in enumerate(row) if x == identity]
+        if len(matches) != 1:
+            raise LawViolation(f"element {i} has {len(matches)} right inverses")
+        inverse.append(matches[0])
+    return MultiplicationTable(len(words), table, identity, tuple(inverse))
+
+
+def table_or_violation(build, system):
+    try:
+        return build(system)
+    except LawViolation as exc:
+        return str(exc)
+
+
+def table_system(name):
+    if name in ("z5", "d5", "q8"):
+        return completed(f"{name}.plg")
+    texts = {
+        "S4": "< a, b, c | a^2 = 1, b^2 = 1, c^2 = 1,"
+        " a b a = b a b, b c b = c b c, a c = c a >",
+        "A5": "< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >",
+        "Z7xZ8": "< a, b | a^7 = 1, b^8 = 1, a b = b a >",
+        "trivial": "< a | a = 1 >",
+    }
+    if name == "idempotent":
+        out = complete(encode(parse("< a | a a = a >"), ["a"], inverses=False))
+    else:
+        out = complete(encode(parse(texts[name])))
+    assert isinstance(out, Converged)
+    return out.system
+
+
+class TestTableFromTheCayleyGraph:
+    @pytest.mark.parametrize(
+        "name", ["z5", "d5", "q8", "S4", "A5", "Z7xZ8", "trivial", "idempotent"]
+    )
+    def test_equals_the_table_of_normalized_products(self, name):
+        system = table_system(name)
+        found = table_or_violation(table_from_normal_forms, system)
+        assert found == table_or_violation(reference_table, system)
+        if name == "idempotent":
+            assert found == "element 1 has 0 right inverses"
+
+    def test_normalizes_at_most_one_product_per_element_and_letter(
+        self, monkeypatch
+    ):
+        system = table_system("A5")
+        calls = []
+        normalize_word = rewriting._Matcher.normalize
+
+        def counting(matcher, word, max_steps):
+            calls.append(word)
+            return normalize_word(matcher, word, max_steps)
+
+        monkeypatch.setattr(rewriting._Matcher, "normalize", counting)
+        t = table_from_normal_forms(system)
+        assert 0 < len(calls) <= t.size * len(system.alphabet)
+
+    def test_a_product_outside_the_normal_forms_is_an_internal_error(
+        self, monkeypatch, z5_system
+    ):
+        monkeypatch.setattr(
+            rewriting._Matcher, "normalize", lambda matcher, word, max_steps: word
+        )
+        with pytest.raises(InternalError, match="left the normal-form set"):
+            table_from_normal_forms(z5_system)
 
 
 class TestTableFromNormalForms:

@@ -318,6 +318,16 @@ class TestFrozenSystems:
         assert proven.rules == hand_built.rules
         assert (proven.convergent, hand_built.convergent) == ("proven", "unknown")
 
+    def test_equal_values_hash_equal(self, d5):
+        first, second = complete(encode(d5)), complete(encode(d5))
+        assert first.system is not second.system
+        assert hash(first.system) == hash(second.system)
+        assert len({first.system, second.system}) == 1
+        assert len({first, second}) == 1
+        stopped = [complete(encode(load("b3.plg")), max_rules=20) for _ in range(2)]
+        assert isinstance(stopped[0], GaveUp)
+        assert len(set(stopped)) == 1
+
     def test_queries_share_one_matcher_per_system(self, monkeypatch, d5, d5_system):
         builds = []
 

@@ -126,6 +126,22 @@ class TestT2:
         assert "boundary mismatch" in check.reason
         assert "witness proves a c = c b" in check.reason
 
+    def test_an_undeclared_relation_is_derived_from_the_witness(
+        self, b3c, monkeypatch
+    ):
+        witness = parse_derivation(WITNESS_AC_CB, b3c)
+        calls = []
+
+        def counting_boundary(p, d):
+            calls.append(d)
+            return boundary(p, d)
+
+        monkeypatch.setattr(tietze, "boundary", counting_boundary)
+        after = apply(b3c, T2(witness=witness, new_rel="r2"))
+        # One call checks the witness, the other derives the relation.
+        assert calls == [witness, witness]
+        assert after.rels["r2"] == boundary(b3c, witness)
+
     def test_broken_witnesses_are_reported(self, b3):
         check = verify(b3, T2(witness=Gen("nope", 1), new_rel="r2"))
         assert "witness does not check" in check.reason
@@ -393,8 +409,9 @@ class TestParseScript:
         monkeypatch.setattr(tietze, "boundary", counting_boundary)
         run_script(b3, f"T1 c := b a\nT2 r2 : a c = c b WITNESS {WITNESS_AC_CB}\n")
         # parse_script and apply_script each apply the step once; an
-        # application checks the witness, then records its boundary.
-        assert len(calls) == 4
+        # application checks the witness against the declared relation and
+        # records that relation without deriving it again.
+        assert len(calls) == 2
 
     def test_failures_name_the_failing_line(self, b3):
         script = "# setup\nT1 c := b a\nINV T1 nosuch\n"

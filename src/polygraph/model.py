@@ -152,12 +152,57 @@ def euler_data(p: Polygraph) -> tuple[int, int, int]:
 
 
 class Derivation:
-    """Base class for proof trees between parallel words."""
+    """Base class for proof trees between parallel words.
+
+    Equality is structural and hashing agrees with it; both walk the tree
+    with an explicit stack, so its depth is not bounded by the recursion
+    limit, and a subtree shared by reference is visited once.
+    """
 
     __slots__ = ()
 
+    def _parts(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            if type(a) is not type(b):
+                return False
+            seen.add((id(a), id(b)))
+            for x, y in zip(a._parts(), b._parts()):
+                if isinstance(x, Derivation) and isinstance(y, Derivation):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        hashes: dict[int, int] = {}  # id(node) -> hash, for finished subtrees
+        todo: list[tuple[Derivation, bool]] = [(self, False)]  # (node, parts done?)
+        while todo:
+            node, ready = todo.pop()
+            if id(node) in hashes:
+                continue
+            parts = node._parts()
+            if not ready:
+                todo.append((node, True))
+                todo.extend((x, False) for x in parts if isinstance(x, Derivation))
+                continue
+            hashes[id(node)] = hash(
+                (type(node),)
+                + tuple(hashes[id(x)] if isinstance(x, Derivation) else x for x in parts)
+            )
+        return hashes[id(self)]
+
+
+@dataclass(frozen=True, eq=False)
 class Gen(Derivation):
     """Apply the named relation, forwards (sign +1) or backwards (-1)."""
 
@@ -165,7 +210,7 @@ class Gen(Derivation):
     sign: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Horiz(Derivation):
     """Side-by-side gluing: rewrite the left part and the right part."""
 
@@ -173,7 +218,7 @@ class Horiz(Derivation):
     right: Derivation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vert(Derivation):
     """Chaining: do ``first``, then ``second`` (middle words must coincide)."""
 
@@ -181,28 +226,28 @@ class Vert(Derivation):
     second: Derivation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Id(Derivation):
     """Do nothing to the given word."""
 
     word: Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Inv(Derivation):
     """Run a derivation in reverse."""
 
     inner: Derivation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CancelLeft(Derivation):
     """Cancel ``a' a`` to the identity at the target of ``a``."""
 
     gen: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CancelRight(Derivation):
     """Cancel ``a a'`` to the identity at the source of ``a``."""
 

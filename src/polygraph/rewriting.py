@@ -411,6 +411,9 @@ def complete(
         if len(active) > max_rules:
             return GaveUp(_snapshot(alphabet, active), "max_rules")
         matcher = _Matcher(list(active.values()))
+        # A right side containing the new left side is rewritten (so changed);
+        # only then does the index need the new right sides.
+        rewritten = False
         for rid, old in list(active.items()):
             if rid == new_id:
                 continue
@@ -419,7 +422,9 @@ def complete(
                     active[rid] = Rule(old.lhs, matcher.normalize(old.rhs, max_steps))
                 except StepLimitExceeded:
                     return GaveUp(_snapshot(alphabet, active), "max_steps")
-        matcher = _Matcher(list(active.values()))
+                rewritten = True
+        if rewritten:
+            matcher = _Matcher(list(active.values()))
         # Queue the critical pairs the new rule creates, in both roles.
         for rid, old in active.items():
             if rid == new_id:

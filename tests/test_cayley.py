@@ -30,7 +30,9 @@ from polygraph.errors import (
     NotConvergent,
     UnknownGenerator,
 )
+from polygraph import homology as homology_module
 from polygraph import rewriting
+from polygraph.presentations import parse
 from polygraph.rewriting import format_system, normalize, parse_system
 
 # One vertex, one loop a, and a disk glued along a a: the projective plane's
@@ -275,6 +277,32 @@ class TestHomology:
         )
         with pytest.raises(InternalError, match="not a cycle"):
             homology(path)
+
+    def test_unit_pivots_leave_the_dense_pass_nothing(
+        self, monkeypatch, z5, d5, q8, z5_system, d5_system, q8_system
+    ):
+        # Each group's complex has H1 = 0, so every invariant factor is 1 and
+        # the sparse unit elimination finishes the relation matrix alone.
+        residues = []
+        dense = homology_module._dense_smith
+
+        def recording(a):
+            residues.append(a)
+            return dense(a)
+
+        monkeypatch.setattr(homology_module, "_dense_smith", recording)
+        cases = [(z5, z5_system), (d5, d5_system), (q8, q8_system)]
+        for text in (
+            "< a, b, c | a^2 = 1, b^2 = 1, c^2 = 1,"
+            " a b a = b a b, b c b = c b c, a c = c a >",
+            "< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >",
+        ):
+            p = parse(text)
+            cases.append((p, rewriting.complete(rewriting.encode(p)).system))
+        for p, system in cases:
+            summary = homology(build_complex(p, system))
+            assert (summary.h0_rank, summary.h1_rank, summary.h1_torsion) == (1, 0, ())
+        assert residues == [[]] * 5
 
     def test_summaries_agree_with_sympy_on_dense_boundaries(
         self, z5, d5, q8, z5_system, d5_system, q8_system

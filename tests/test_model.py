@@ -162,3 +162,26 @@ def test_boundary_of_a_deep_chain_needs_no_recursion():
     for _ in range(3000):
         deep = Inv(deep)
     assert boundary(b3, deep) == b3.rels["r1"]
+
+
+def test_derivation_equality_is_structural():
+    b3 = load("b3.plg")
+    a, b = b3.word("a"), b3.word("b")
+    assert Horiz(Id(a), Gen("r1", 1)) == Horiz(Id(b3.word("a")), Gen("r1", 1))
+    assert Horiz(Id(a), Id(b)) != Horiz(Id(b), Id(a))
+    assert Horiz(Id(a), Id(b)) != Vert(Id(a), Id(b))
+    assert CancelLeft("a") != CancelRight("a")
+    assert Gen("r1", 1) != Gen("r1", -1)
+    assert Gen("r1", 1) != ("r1", 1)
+    assert len({Inv(Gen("r1", 1)), Inv(Gen("r1", 1)), Gen("r1", 1)}) == 2
+
+
+def test_shared_subtrees_are_compared_and_hashed_once():
+    # 2^60 leaves by path, 61 distinct nodes by reference.
+    b3 = load("b3.plg")
+    d, e, f = Id(b3.word("a")), Id(b3.word("a")), Id(b3.word("b"))
+    for _ in range(60):
+        d, e, f = Vert(d, d), Vert(e, e), Vert(f, f)
+    assert d == e
+    assert hash(d) == hash(e)
+    assert d != f

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import re
 
 import pytest
 
@@ -225,6 +227,83 @@ class TestMultiplicationTable:
                 identity=0,
                 inverse=(0, 4, 3, 2, 1),
             )
+
+
+def reduced_latin_squares(n: int):
+    """Every n×n Latin square whose first row and column are 0, 1, ..., n-1."""
+    square = [[j if i == 0 else i if j == 0 else -1 for j in range(n)] for i in range(n)]
+    in_row = [set(square[i]) - {-1} for i in range(n)]
+    in_col = [{square[i][j] for i in range(n)} - {-1} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, square))
+            return
+        i, j = cells[k]
+        for x in range(n):
+            if x not in in_row[i] and x not in in_col[j]:
+                square[i][j] = x
+                in_row[i].add(x)
+                in_col[j].add(x)
+                yield from fill(k + 1)
+                in_row[i].discard(x)
+                in_col[j].discard(x)
+
+    return fill(0)
+
+
+def cubic_verdict(table, inverse) -> str:
+    """Which law a square with identity 0 breaks, by checking every triple."""
+    n = len(table)
+    if any(table[i][inverse[i]] != 0 or table[inverse[i]][i] != 0 for i in range(n)):
+        return "inverse"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return "associativity"
+    return "group"
+
+
+class TestLightsAssociativityTest:
+    def test_agrees_with_every_triple_on_all_small_loops(self):
+        # The identity is 0 in a reduced Latin square, so only the inverse
+        # and associativity checks can reject one; the right inverse is the
+        # one zero in each row.
+        counts = {}
+        for n in range(1, 7):
+            seen = {"inverse": 0, "associativity": 0, "group": 0}
+            for square in reduced_latin_squares(n):
+                inverse = tuple(row.index(0) for row in square)
+                expected = cubic_verdict(square, inverse)
+                try:
+                    MultiplicationTable(n, square, 0, inverse)
+                    found = "group"
+                except LawViolation as exc:
+                    found = "inverse" if "inverse" in str(exc) else "associativity"
+                    if found == "associativity":
+                        i, j, k = map(int, re.findall(r"\d+", str(exc)))
+                        assert square[square[i][j]][k] != square[i][square[j][k]]
+                assert found == expected, square
+                seen[expected] += 1
+            counts[n] = (sum(seen.values()), seen["associativity"], seen["group"])
+        # 1, 1, 1, 4, 56 and 9,408 reduced Latin squares; of the 1,808 of
+        # order 6 with two-sided inverses, 1,728 are not associative.
+        assert counts == {
+            1: (1, 0, 1),
+            2: (1, 0, 1),
+            3: (1, 0, 1),
+            4: (4, 0, 4),
+            5: (56, 2, 6),
+            6: (9408, 1728, 80),
+        }
+
+    @pytest.mark.parametrize("name", ["q8", "S4", "A5", "Z7xZ8"])
+    def test_a_group_needs_at_most_log2_order_generators(self, name):
+        table = table_from_normal_forms(table_system(name))
+        gens = oracle._right_generators(table.table, table.identity)
+        assert 1 <= len(gens) <= math.log2(table.size)
 
 
 def involutions(table: MultiplicationTable) -> list[int]:

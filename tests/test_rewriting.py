@@ -163,6 +163,22 @@ class TestComplete:
         with pytest.raises(InternalError, match="non-convergent"):
             complete(encode(load("z5.plg")))
 
+    def test_the_rule_index_is_rebuilt_only_when_the_rules_change(self, monkeypatch):
+        # One build per added rule, plus one only when renormalizing the
+        # right sides rewrote some: no build repeats the rules of the last.
+        builds = []
+
+        class CountingMatcher(rewriting._Matcher):
+            def __init__(self, rules):
+                builds.append(tuple(rules))
+                super().__init__(rules)
+
+        monkeypatch.setattr(rewriting, "_Matcher", CountingMatcher)
+        out = complete(encode(load("b3.plg")), max_rules=128)
+        assert isinstance(out, GaveUp)  # so no certification build at the end
+        assert all(a != b for a, b in zip(builds, builds[1:]))
+        assert len(builds) < 150  # 275 when every added rule built twice
+
     def test_gave_up_partial_system_is_unverified(self):
         out = complete(encode(load("b3.plg")), max_rules=50)
         assert out.system.convergent == "unknown"

@@ -497,6 +497,17 @@ class TestDeepDerivations:
             deep = deep.inner
         assert deep == Gen("r1", 1)
 
+    def test_deep_witnesses_compare_and_hash_without_recursion(self, b3):
+        text = "(inv " * 3000 + "(gen r1 +)" + ")" * 3000
+        deep, again = parse_derivation(text, b3), parse_derivation(text, b3)
+        assert deep is not again
+        assert deep == again
+        assert hash(deep) == hash(again)
+        assert len({deep, again}) == 1
+        other = parse_derivation(text.replace("(gen r1 +)", "(gen r1 -)"), b3)
+        assert deep != other
+        assert not deep == other
+
     def test_unbalanced_deep_text_is_a_parse_error(self, b3):
         with pytest.raises(ParseError, match="end of derivation"):
             parse_derivation("(inv " * 3000 + "(gen r1 +)" + ")" * 2999, b3)

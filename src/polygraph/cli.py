@@ -214,8 +214,7 @@ def _cmd_tietze(args) -> int:
     except OSError as exc:
         _diag(f"cannot read {args.script}: {exc}")
         return EXIT_USAGE
-    steps = tietze.parse_script(script_text, p)
-    after = tietze.apply_script(p, steps)
+    steps, after = tietze._elaborate(script_text, p)
     if args.json:
         for i, step in enumerate(steps, start=1):
             _emit_json({"step": i, "kind": type(step).__name__, "ok": True})

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import IllTyped, UnknownCell
+from .errors import IllTyped, TietzeError, UnknownCell
 from .words import Letter, Word, format_word, parse_word
 
 __all__ = [
@@ -156,7 +156,8 @@ class Derivation:
 
     Equality is structural and hashing agrees with it; both walk the tree
     with an explicit stack, so its depth is not bounded by the recursion
-    limit, and a subtree shared by reference is visited once.
+    limit, and a subtree shared by reference is visited once.  The repr is
+    the s-expression of .tz scripts, also built with an explicit stack.
     """
 
     __slots__ = ()
@@ -201,8 +202,11 @@ class Derivation:
             )
         return hashes[id(self)]
 
+    def __repr__(self) -> str:
+        return _sexpr(self)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Gen(Derivation):
     """Apply the named relation, forwards (sign +1) or backwards (-1)."""
 
@@ -210,7 +214,7 @@ class Gen(Derivation):
     sign: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Horiz(Derivation):
     """Side-by-side gluing: rewrite the left part and the right part."""
 
@@ -218,7 +222,7 @@ class Horiz(Derivation):
     right: Derivation
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Vert(Derivation):
     """Chaining: do ``first``, then ``second`` (middle words must coincide)."""
 
@@ -226,32 +230,58 @@ class Vert(Derivation):
     second: Derivation
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Id(Derivation):
     """Do nothing to the given word."""
 
     word: Word
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Inv(Derivation):
     """Run a derivation in reverse."""
 
     inner: Derivation
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CancelLeft(Derivation):
     """Cancel ``a' a`` to the identity at the target of ``a``."""
 
     gen: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CancelRight(Derivation):
     """Cancel ``a a'`` to the identity at the source of ``a``."""
 
     gen: str
+
+
+_SEXPR_PARTS = {  # a node's s-expression: literal text and children, in order
+    Gen: lambda d: [f"(gen {d.rel} {'+' if d.sign > 0 else '-'})"],
+    Horiz: lambda d: ["(h ", d.left, " ", d.right, ")"],
+    Vert: lambda d: ["(v ", d.first, " ", d.second, ")"],
+    Id: lambda d: [f"(id {format_word(d.word)})"],
+    Inv: lambda d: ["(inv ", d.inner, ")"],
+    CancelLeft: lambda d: [f"(lam {d.gen})"],
+    CancelRight: lambda d: [f"(rho {d.gen})"],
+}
+
+
+def _sexpr(d: Derivation) -> str:
+    """The s-expression text of a derivation (tietze.format_derivation)."""
+    out: list[str] = []
+    todo: list[Derivation | str] = [d]  # nodes still to render, and literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif type(item) in _SEXPR_PARTS:
+            todo += reversed(_SEXPR_PARTS[type(item)](item))
+        else:
+            raise TietzeError(f"not a derivation node: {item!r}")
+    return "".join(out)
 
 
 def boundary(p: Polygraph, d: Derivation) -> Sphere:

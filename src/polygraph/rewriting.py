@@ -15,6 +15,10 @@ decreases this order, which makes normalize() terminate.
 Internally a word is a ``bytes`` value, one byte per letter index; the
 public functions speak word text (``a b' a^2``) or Word values.
 
+normalize() rewrites the redex that ends first.  In the inter-reduced
+systems complete() builds that is the leftmost redex; a hand-built system
+may differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to ``a y c``, not ``x``.
+
 The text serialization of a system is one rule per line after an order
 header, and parses back with parse_system()::
 
@@ -259,45 +263,58 @@ def encode(
 
 
 class _Matcher:
-    """Leftmost-then-lowest-rule-index matching, bucketed by first letter."""
+    """The one rule index: left side -> right side in rule order, plus the
+    left sides bucketed by last letter.  complete() edits it in place.  Of
+    two rules with equal left sides the lower rule index wins."""
 
     def __init__(self, rules):
-        self.buckets: dict[int, list[tuple[bytes, bytes]]] = {}
-        self.max_lhs = 1
+        self.rules: dict[bytes, bytes] = {}
+        self.by_last: dict[int, list[bytes]] = {}
         for rule in rules:  # rule order is the rule index order
-            self.buckets.setdefault(rule.lhs[0], []).append((rule.lhs, rule.rhs))
-            self.max_lhs = max(self.max_lhs, len(rule.lhs))
+            if rule.lhs not in self.rules:
+                self.add(rule.lhs, rule.rhs)
+
+    def add(self, lhs: bytes, rhs: bytes) -> None:
+        self.rules[lhs] = rhs
+        self.by_last.setdefault(lhs[-1], []).append(lhs)
+
+    def retire(self, lhs: bytes) -> None:
+        del self.rules[lhs]
+        self.by_last[lhs[-1]].remove(lhs)
+
+    def redex(self, word) -> bytes | None:
+        """The left side that ends ``word`` (lowest rule index first), or None."""
+        for lhs in self.by_last.get(word[-1], ()):
+            if word.endswith(lhs):
+                return lhs
+        return None
 
     def normalize(self, word: bytes, max_steps: int) -> bytes:
+        """Read letters onto an irreducible stack, cutting off a left side that
+        ends it and pushing its right side back onto the letters to read.
+        With no left side inside another, the redex that ends first is the
+        leftmost and only one rule matches there: this rewrites the same
+        redexes in the same order as leftmost-lowest rewriting."""
+        rules, redex = self.rules, self.redex
+        stack = bytearray()
+        todo = bytearray(word[::-1])  # the next letter to read is last
         steps = 0
-        pos = 0
-        while pos < len(word):
-            bucket = self.buckets.get(word[pos])
-            if bucket:
-                for lhs, rhs in bucket:
-                    if word.startswith(lhs, pos):
-                        steps += 1
-                        if steps > max_steps:
-                            raise StepLimitExceeded(
-                                f"no normal form after {max_steps} rewrite steps"
-                            )
-                        word = word[:pos] + rhs + word[pos + len(lhs):]
-                        pos = max(0, pos - self.max_lhs + 1)
-                        break
-                else:
-                    pos += 1
-            else:
-                pos += 1
-        return word
+        while todo:
+            stack.append(todo.pop())
+            lhs = redex(stack)
+            if lhs is not None:
+                steps += 1
+                if steps > max_steps:
+                    raise StepLimitExceeded(f"no normal form after {max_steps} rewrite steps")
+                del stack[len(stack) - len(lhs):]
+                todo += rules[lhs][::-1]
+        return bytes(stack)
 
 
 def normalize(system: RewritingSystem, word, max_steps: int = DEFAULT_MAX_STEPS) -> str:
-    """Rewrite to an irreducible word under the leftmost-lowest strategy.
-
-    At each step the redex is the leftmost matching position; among rules
-    matching there, the one earliest in the rule list wins.  Raises
-    StepLimitExceeded after ``max_steps`` rewrites.
-    """
+    """Rewrite to an irreducible word, always the redex that ends first (see
+    the module docstring) by the earliest rule that ends there.  Raises
+    StepLimitExceeded after ``max_steps`` rewrites."""
     return system.word_text(normalize_bytes(system, system.word_bytes(word), max_steps))
 
 
@@ -326,11 +343,8 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     another (including a rule with itself), and one lhs contained in
     another.  The descendants are single rewrites of the peak, one per rule.
     """
-    out: list[CriticalPair] = []
-    for r1 in system.rules:
-        for r2 in system.rules:
-            out.extend(_pairs_between(r1, r2))
-    return out
+    rules = [(rule.lhs, rule.rhs) for rule in system.rules]
+    return [CriticalPair(*p) for r1 in rules for r2 in rules for p in _pairs_between(r1, r2)]
 
 
 # ----------------------------------------------------------------- completion
@@ -368,96 +382,78 @@ def complete(
     each normalization, and either step limit returns ``GaveUp("max_steps")``.
     A completed system that fails re-verification raises InternalError.
     """
-    alphabet = system.alphabet
-    active: dict[int, Rule] = {}
+    index = _Matcher(())
+    rules = index.rules  # in rule order, edited in place
     serial = 0
-    next_rule_id = 0
     queue: list[tuple[int, bytes, int, bytes, bytes]] = []
 
-    def push(peak: bytes, u: bytes, v: bytes) -> None:
+    def snapshot() -> RewritingSystem:
+        return RewritingSystem(system.alphabet, [Rule(l, r) for l, r in rules.items()])
+
+    def push(pairs) -> None:
         nonlocal serial
-        heappush(queue, (len(peak), peak, serial, u, v))
-        serial += 1
+        for peak, u, v in pairs:
+            heappush(queue, (len(peak), peak, serial, u, v))
+            serial += 1
 
-    for rule in system.rules:
-        push(rule.lhs, rule.lhs, rule.rhs)
-
-    matcher = _Matcher([])
+    push((rule.lhs, rule.lhs, rule.rhs) for rule in system.rules)
     steps = 0
-    while queue:
-        steps += 1
-        if steps > max_steps:
-            return GaveUp(_snapshot(alphabet, active), "max_steps")
-        _, _, _, u, v = heappop(queue)
-        try:
-            u = matcher.normalize(u, max_steps)
-            v = matcher.normalize(v, max_steps)
-        except StepLimitExceeded:
-            return GaveUp(_snapshot(alphabet, active), "max_steps")
-        if u == v:
-            continue
-        lhs, rhs = (u, v) if _slex_greater(u, v) else (v, u)
-        if len(lhs) > max_lhs_len:
-            return GaveUp(_snapshot(alphabet, active), "max_lhs_len")
-        new_rule = Rule(lhs, rhs)
-        # Retire rules the new one subsumes; renormalize right sides later.
-        for rid, old in list(active.items()):
-            if lhs in old.lhs:
-                del active[rid]
-                push(old.lhs, old.lhs, old.rhs)
-        new_id = next_rule_id
-        next_rule_id += 1
-        active[new_id] = new_rule
-        if len(active) > max_rules:
-            return GaveUp(_snapshot(alphabet, active), "max_rules")
-        matcher = _Matcher(list(active.values()))
-        # A right side containing the new left side is rewritten (so changed);
-        # only then does the index need the new right sides.
-        rewritten = False
-        for rid, old in list(active.items()):
-            if rid == new_id:
-                continue
-            if lhs in old.rhs:
-                try:
-                    active[rid] = Rule(old.lhs, matcher.normalize(old.rhs, max_steps))
-                except StepLimitExceeded:
-                    return GaveUp(_snapshot(alphabet, active), "max_steps")
-                rewritten = True
-        if rewritten:
-            matcher = _Matcher(list(active.values()))
-        # Queue the critical pairs the new rule creates, in both roles.
-        for rid, old in active.items():
-            if rid == new_id:
-                continue
-            for pair in _pairs_between(new_rule, old):
-                push(pair.peak, pair.left, pair.right)
-            for pair in _pairs_between(old, new_rule):
-                push(pair.peak, pair.left, pair.right)
-        for pair in _pairs_between(new_rule, new_rule):
-            push(pair.peak, pair.left, pair.right)
     try:
-        return Converged(certify(_snapshot(alphabet, active)))
+        while queue:
+            steps += 1
+            if steps > max_steps:
+                return GaveUp(snapshot(), "max_steps")
+            _, _, _, u, v = heappop(queue)
+            u, v = index.normalize(u, max_steps), index.normalize(v, max_steps)
+            if u == v:
+                continue
+            lhs, rhs = (u, v) if _slex_greater(u, v) else (v, u)
+            if len(lhs) > max_lhs_len:
+                return GaveUp(snapshot(), "max_lhs_len")
+            # lhs is irreducible, so it contains no left side; retiring those
+            # that contain it keeps the system inter-reduced.
+            for old_lhs, old_rhs in list(rules.items()):
+                if lhs in old_lhs:
+                    index.retire(old_lhs)
+                    push([(old_lhs, old_lhs, old_rhs)])
+            index.add(lhs, rhs)
+            if len(rules) > max_rules:
+                return GaveUp(snapshot(), "max_rules")
+            # Renormalize the right sides lhs is in, all against the index as
+            # it is now; each keeps its slot, also when a step limit fires.
+            fresh: dict[bytes, bytes] = {}
+            try:
+                for old_lhs, old_rhs in rules.items():
+                    if lhs in old_rhs:
+                        fresh[old_lhs] = index.normalize(old_rhs, max_steps)
+            finally:
+                rules.update(fresh)
+            # Queue the pairs the new rule (the last) creates, in both roles.
+            *olds, new = rules.items()
+            for old in olds:
+                push(_pairs_between(new, old))
+                push(_pairs_between(old, new))
+            push(_pairs_between(new, new))
+    except StepLimitExceeded:
+        return GaveUp(snapshot(), "max_steps")
+    try:
+        return Converged(certify(snapshot()))
     except NotConvergent as exc:
         raise InternalError(f"completion produced a non-convergent system: {exc}") from None
 
 
-def _snapshot(alphabet: Alphabet, active: dict[int, Rule]) -> RewritingSystem:
-    # Rule ids only grow and a rewritten right side keeps its slot, so the
-    # dict's insertion order is the rule-id order.
-    return RewritingSystem(alphabet, active.values())
-
-
-def _pairs_between(r1: Rule, r2: Rule):
-    """Critical pairs with r1 rewriting the front of the peak (see critical_pairs)."""
-    l1, l2 = r1.lhs, r2.lhs
+def _pairs_between(r1: tuple[bytes, bytes], r2: tuple[bytes, bytes]):
+    """(peak, left, right) of each critical pair of two (lhs, rhs) rules with
+    r1 rewriting the front of the peak; ``r1 is r2`` pairs a rule with itself."""
+    (l1, rhs1), (l2, rhs2) = r1, r2
     for t in range(1, min(len(l1), len(l2))):
         if l1[len(l1) - t:] == l2[:t]:
             tail = l2[t:]
-            yield CriticalPair(l1 + tail, r1.rhs + tail, l1[: len(l1) - t] + r2.rhs)
+            yield l1 + tail, rhs1 + tail, l1[: len(l1) - t] + rhs2
     if r1 is not r2 and (len(l2) < len(l1) or l1 == l2):
         k = l1.find(l2)
         while k != -1:
-            yield CriticalPair(l1, r1.rhs, l1[:k] + r2.rhs + l1[k + len(l2):])
+            yield l1, rhs1, l1[:k] + rhs2 + l1[k + len(l2):]
             k = l1.find(l2, k + 1)
 
 
@@ -490,11 +486,7 @@ def verify_convergent(system: RewritingSystem) -> Proven | Refuted:
         left = matcher.normalize(pair.left, DEFAULT_MAX_STEPS)
         right = matcher.normalize(pair.right, DEFAULT_MAX_STEPS)
         if left != right:
-            return Refuted(
-                system.word_text(pair.peak),
-                system.word_text(left),
-                system.word_text(right),
-            )
+            return Refuted(*(system.word_text(w) for w in (pair.peak, left, right)))
     return Proven()
 
 
@@ -554,14 +546,12 @@ def _normal_form_bytes(system: RewritingSystem, cap: int) -> list[bytes] | MoreT
         raise NotConvergent("normal forms require a proven-convergent system")
     if cap < 1:
         return MoreThanCap(1)
-    by_last: dict[int, list[bytes]] = {}
-    for rule in system.rules:
-        by_last.setdefault(rule.lhs[-1], []).append(rule.lhs)
+    redex = system._matcher.redex
     words: list[bytes] = [b""]
     for stem in words:  # the list is its own breadth-first queue
         for letter in range(len(system.alphabet)):
             word = stem + bytes([letter])
-            if any(word.endswith(lhs) for lhs in by_last.get(letter, ())):
+            if redex(word) is not None:  # stem is irreducible: only a suffix can match
                 continue
             if len(words) + 1 > cap:
                 return MoreThanCap(len(words) + 1)

@@ -30,6 +30,7 @@ from .model import (
     Sphere,
     Vert,
     _name_ok,
+    _sexpr,
     boundary,
     chain,
     step as whisker,
@@ -379,32 +380,7 @@ def transport(p: Polygraph, steps, word: Word) -> Word:
 
 def format_derivation(d: Derivation) -> str:
     """Render a derivation as the s-expression syntax of .tz scripts."""
-    out: list[str] = []
-    todo: list[Derivation | str] = [d]  # nodes still to render, and literal text
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Gen):
-            out.append(f"(gen {item.rel} {'+' if item.sign > 0 else '-'})")
-        elif isinstance(item, Horiz):
-            out.append("(h ")
-            todo += [")", item.right, " ", item.left]
-        elif isinstance(item, Vert):
-            out.append("(v ")
-            todo += [")", item.second, " ", item.first]
-        elif isinstance(item, Id):
-            out.append(f"(id {format_word(item.word)})")
-        elif isinstance(item, Inv):
-            out.append("(inv ")
-            todo += [")", item.inner]
-        elif isinstance(item, CancelLeft):
-            out.append(f"(lam {item.gen})")
-        elif isinstance(item, CancelRight):
-            out.append(f"(rho {item.gen})")
-        else:
-            raise TietzeError(f"not a derivation node: {item!r}")
-    return "".join(out)
+    return _sexpr(d)
 
 
 def _split_tokens(text: str, line: int) -> list[tuple[str, int]]:
@@ -557,6 +533,11 @@ def parse_script(text: str, p: Polygraph) -> list[TietzeStep]:
     line's words and witnesses are read over the presentation produced by
     the previous lines.  T1 names its defining relation ``def_GEN``.
     """
+    return _elaborate(text, p)[0]
+
+
+def _elaborate(text: str, p: Polygraph) -> tuple[list[TietzeStep], Polygraph]:
+    """parse_script's steps and the polygraph they lead to, each applied once."""
     steps: list[TietzeStep] = []
     here = p
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -633,12 +614,12 @@ def parse_script(text: str, p: Polygraph) -> list[TietzeStep]:
             error.state = here
             raise error from None
         steps.append(step)
-    return steps
+    return steps, here
 
 
 def run_script(p: Polygraph, text: str) -> Polygraph:
-    """Parse and apply a .tz script in one call."""
-    return apply_script(p, parse_script(text, p))
+    """Parse and apply a .tz script in one call, verifying each step once."""
+    return _elaborate(text, p)[1]
 
 
 # ------------------------------------------------------ witness synthesis

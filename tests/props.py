@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from polygraph import presentations, tietze
-from polygraph.errors import ParseError
+from polygraph.errors import ParseError, StepLimitExceeded
 from polygraph.model import (
     CancelLeft,
     CancelRight,
@@ -362,6 +362,52 @@ def _random_strategy_normalize(
             return cur
         i, rule = rng.choice(sites)
         cur = cur[:i] + rule.rhs + cur[i + len(rule.lhs):]
+
+
+def reference_normalize(system: RewritingSystem, word: bytes) -> tuple[bytes, int]:
+    """Leftmost-lowest rewriting by a scan over first-letter buckets, which
+    backs up the longest left side after each rewrite: the normal form and
+    the number of rewrite steps.  A reference for the stack normalizer."""
+    buckets: dict[int, list] = {}
+    for rule in system.rules:
+        buckets.setdefault(rule.lhs[0], []).append(rule)
+    max_lhs = max((len(rule.lhs) for rule in system.rules), default=1)
+    steps = pos = 0
+    while pos < len(word):
+        for rule in buckets.get(word[pos], ()):
+            if word.startswith(rule.lhs, pos):
+                steps += 1
+                word = word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
+                pos = max(0, pos - max_lhs + 1)
+                break
+        else:
+            pos += 1
+    return word, steps
+
+
+def run_reference_strategy_suite(
+    systems: list[RewritingSystem], seed: int = 0, cases: int = 1000
+) -> int:
+    """On ``cases`` random words per system, normalize_bytes gives the
+    reference's normal form, and the fewest ``max_steps`` it needs is the
+    reference's step count (it raises StepLimitExceeded with one fewer)."""
+    rng = random.Random(seed)
+    ran = 0
+    for system in systems:
+        n = len(system.alphabet)
+        for _ in range(cases):
+            w = bytes(rng.randrange(n) for _ in range(rng.randint(0, 40)))
+            nf, steps = reference_normalize(system, w)
+            assert normalize_bytes(system, w, steps) == nf
+            if steps:
+                try:
+                    normalize_bytes(system, w, steps - 1)
+                except StepLimitExceeded:
+                    pass
+                else:
+                    raise AssertionError(f"{w!r} normalized in fewer than {steps} steps")
+            ran += 1
+    return ran
 
 
 # ------------------------------------------------------------ word grammar

@@ -156,6 +156,22 @@ class TestComplete:
         assert out.reason == "max_steps"
         assert isinstance(complete(system), Converged)
 
+    def test_right_sides_renormalized_before_a_step_limit_stay_rewritten(self):
+        # b -> a comes fourth; f g^8's right side then takes one rewrite and
+        # c d^9's nine, past the limit.  The partial system keeps the first.
+        system = parse_system(
+            "order: a < b < c < d < e < f < g\n"
+            "f g^8 -> b\nc d^9 -> b^9\ne f^10 -> b\ne f^10 -> a\n"
+        )
+        out = complete(system, max_steps=5)
+        assert isinstance(out, GaveUp) and out.reason == "max_steps"
+        assert format_system(out.system).splitlines()[1:] == [
+            "f g g g g g g g g -> a",
+            "c d d d d d d d d d -> b b b b b b b b b",
+            "e f f f f f f f f f f -> b",
+            "b -> a",
+        ]
+
     def test_failed_self_check_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(
             rewriting, "verify_convergent", lambda system: Refuted("a", "a", "1")
@@ -164,8 +180,8 @@ class TestComplete:
             complete(encode(load("z5.plg")))
 
     def test_the_rule_index_is_rebuilt_only_when_the_rules_change(self, monkeypatch):
-        # One build per added rule, plus one only when renormalizing the
-        # right sides rewrote some: no build repeats the rules of the last.
+        # Completion builds one index and edits it in place as rules are
+        # added, retired and rewritten: it is never rebuilt.
         builds = []
 
         class CountingMatcher(rewriting._Matcher):
@@ -176,8 +192,28 @@ class TestComplete:
         monkeypatch.setattr(rewriting, "_Matcher", CountingMatcher)
         out = complete(encode(load("b3.plg")), max_rules=128)
         assert isinstance(out, GaveUp)  # so no certification build at the end
-        assert all(a != b for a, b in zip(builds, builds[1:]))
-        assert len(builds) < 150  # 275 when every added rule built twice
+        assert builds == [()]  # 275 builds when every added rule built twice
+
+    @pytest.mark.parametrize(
+        "name, inverses, limits",
+        [
+            (name, inverses, limits)
+            for name in ("z5", "d5", "q8", "b3", "b3_abc", "b3_literal")
+            for inverses in (True, False)
+            for limits in (
+                {"max_rules": 128, "max_lhs_len": 16}, {"max_rules": 20},
+                {"max_lhs_len": 4}, {"max_steps": 40},
+            )
+        ],
+    )
+    def test_no_left_side_lies_inside_another(self, name, inverses, limits):
+        # Converged or GaveUp, every system completion returns is
+        # inter-reduced: the stack normalizer's leftmost-lowest argument
+        # rests on it.
+        out = complete(encode(load(f"{name}.plg"), inverses=inverses), **limits)
+        sides = [rule.lhs for rule in out.system.rules]
+        assert len(set(sides)) == len(sides)
+        assert not [(u, v) for u in sides for v in sides if u != v and u in v]
 
     def test_gave_up_partial_system_is_unverified(self):
         out = complete(encode(load("b3.plg")), max_rules=50)
@@ -300,6 +336,42 @@ class TestNormalize:
     def test_step_limit(self, d5_system):
         with pytest.raises(StepLimitExceeded):
             normalize(d5_system, "r^5 s^2 r s r s", max_steps=1)
+
+    def test_the_redex_that_ends_first_is_rewritten(self):
+        # b ends before a b c does; leftmost rewriting would give x.  The
+        # system is not convergent whichever strategy normalizes.
+        system = parse_system("order: x < y < a < b < c\na b c -> x\nb -> y\n")
+        assert normalize(system, "a b c") == "a y c"
+        assert normalize(system, "a b c a b c") == "a y c a y c"
+        assert verify_convergent(system) == Refuted("a b c", "x", "a y c")
+        # Of left sides ending at the same letter, the lower rule index wins,
+        # also between equal left sides.
+        for rules, nf in (
+            ("a b -> x\nb -> y\n", "x"), ("b -> y\na b -> x\n", "a y"),
+            ("b -> x\nb -> y\n", "a x"), ("b -> y\nb -> x\n", "a y"),
+        ):
+            assert normalize(parse_system(f"order: x < y < a < b\n{rules}"), "a b") == nf
+
+    def test_normal_forms_and_step_counts_match_leftmost_lowest(self):
+        systems = [
+            complete(encode(load(f"{name}.plg"), inverses=inverses)).system
+            for name in ("z5", "d5", "q8")
+            for inverses in (True, False)
+        ]
+        systems += [complete(encode(load(f"{name}.plg"), inverses=False)).system
+                    for name in ("b3_abc", "b3_literal")]
+        systems += [
+            complete(encode(presentations.parse(text))).system
+            for text in (
+                "< a, b, c | a^2 = 1, b^2 = 1, c^2 = 1,"
+                " a b a = b a b, b c b = c b c, a c = c a >",  # S4
+                "< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >",  # A5
+                "< r, s | r^15 = r^-15, s = s', r s = s' r' >",  # D30, balanced
+            )
+        ]
+        assert all(system.convergent == "proven" for system in systems)
+        systems.append(complete(encode(load("b3.plg")), max_rules=128).system)
+        assert props.run_reference_strategy_suite(systems, seed=81, cases=1000) == 12000
 
 
 class TestFrozenSystems:

@@ -408,10 +408,10 @@ class TestParseScript:
 
         monkeypatch.setattr(tietze, "boundary", counting_boundary)
         run_script(b3, f"T1 c := b a\nT2 r2 : a c = c b WITNESS {WITNESS_AC_CB}\n")
-        # parse_script and apply_script each apply the step once; an
-        # application checks the witness against the declared relation and
-        # records that relation without deriving it again.
-        assert len(calls) == 2
+        # Reading the script applies each step once, and run_script keeps
+        # the result; an application checks the witness against the declared
+        # relation and records that relation without deriving it again.
+        assert len(calls) == 1
 
     def test_failures_name_the_failing_line(self, b3):
         script = "# setup\nT1 c := b a\nINV T1 nosuch\n"
@@ -507,6 +507,12 @@ class TestDeepDerivations:
         other = parse_derivation(text.replace("(gen r1 +)", "(gen r1 -)"), b3)
         assert deep != other
         assert not deep == other
+
+    def test_deep_witnesses_print_without_recursion(self, b3):
+        text = "(inv " * 3000 + "(gen r1 +)" + ")" * 3000
+        deep = parse_derivation(text, b3)
+        assert repr(deep) == str(deep) == format_derivation(deep) == text
+        assert repr(T2(deep, "r2")).startswith("T2(witness=(inv (inv ")
 
     def test_unbalanced_deep_text_is_a_parse_error(self, b3):
         with pytest.raises(ParseError, match="end of derivation"):

@@ -28,6 +28,7 @@ from .errors import (
     NotConvergent,
     ParseError,
     PolygraphError,
+    SearchLimitExceeded,
     SourceSpan,
     StepLimitExceeded,
     TietzeError,
@@ -71,6 +72,7 @@ __all__ = [
     "IllTyped",
     "MultiObjectUnsupported",
     "StepLimitExceeded",
+    "SearchLimitExceeded",
     "NotConvergent",
     "InfiniteOrUnknown",
     "LawViolation",

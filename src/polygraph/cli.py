@@ -173,6 +173,8 @@ def _cmd_eq(args) -> int:
         else:
             _emit("equal")
         return EXIT_OK
+    if found.limit != "radius":
+        _diag(f"search stopped at {found.limit}")
     if args.json:
         _emit_json({"verdict": "undecided", "method": "search", "radius": args.radius})
     else:

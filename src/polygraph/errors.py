@@ -68,6 +68,10 @@ class StepLimitExceeded(PolygraphError):
     """normalize() hit its rewrite-step budget before reaching a normal form."""
 
 
+class SearchLimitExceeded(PolygraphError):
+    """A breadth-first word search passed its bound on the letters it holds."""
+
+
 class NotConvergent(PolygraphError):
     """An operation that needs unique normal forms was given an unproven system."""
 

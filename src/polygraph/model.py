@@ -205,6 +205,28 @@ class Derivation:
     def __repr__(self) -> str:
         return _sexpr(self)
 
+    def __reduce__(self):
+        """Pickle and copy as a flat table of nodes, children before parents,
+        built with an explicit stack; a subtree shared by reference is one
+        row, so it stays shared in the rebuilt tree."""
+        rows: list[tuple[type, tuple, tuple[int, ...]]] = []  # (class, parts, child slots)
+        row_of: dict[int, int] = {}  # id(node) -> its row
+        todo: list[tuple[Derivation, bool]] = [(self, False)]  # (node, parts done?)
+        while todo:
+            node, ready = todo.pop()
+            if id(node) in row_of:
+                continue
+            parts = node._parts()
+            if not ready:
+                todo.append((node, True))
+                todo.extend((x, False) for x in parts if isinstance(x, Derivation))
+                continue
+            slots = tuple(k for k, x in enumerate(parts) if isinstance(x, Derivation))
+            parts = tuple(row_of[id(x)] if k in slots else x for k, x in enumerate(parts))
+            row_of[id(node)] = len(rows)
+            rows.append((type(node), parts, slots))
+        return _rebuild, (rows,)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Gen(Derivation):
@@ -256,6 +278,14 @@ class CancelRight(Derivation):
     """Cancel ``a a'`` to the identity at the source of ``a``."""
 
     gen: str
+
+
+def _rebuild(rows: list[tuple[type, tuple, tuple[int, ...]]]) -> Derivation:
+    """The derivation a Derivation.__reduce__ table describes: its last row."""
+    nodes: list[Derivation] = []
+    for cls, parts, slots in rows:
+        nodes.append(cls(*(nodes[x] if k in slots else x for k, x in enumerate(parts))))
+    return nodes[-1]
 
 
 _SEXPR_PARTS = {  # a node's s-expression: literal text and children, in order

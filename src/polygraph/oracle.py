@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import LawViolation, MultiObjectUnsupported, UnknownGenerator
+from .errors import (
+    LawViolation,
+    MultiObjectUnsupported,
+    SearchLimitExceeded,
+    UnknownGenerator,
+)
 from .model import Polygraph
 from .words import Letter, Word
 
@@ -27,6 +32,7 @@ __all__ = [
     "bfs_equal",
     "bfs_reach",
     "default_length_cap",
+    "MAX_SEARCH_LETTERS",
     "MultiplicationTable",
     "closure_generates",
     "table_from_normal_forms",
@@ -42,7 +48,19 @@ class Equal:
 
 @dataclass(frozen=True)
 class NotWithinRadius:
-    """Honest unknown: no connection found inside radius and length cap."""
+    """Honest unknown: no connection found inside radius and length cap.
+
+    ``limit`` names what ended the search: "radius" when every word within
+    it was visited, "max_search_letters" when the words visited held more
+    than MAX_SEARCH_LETTERS letters.
+    """
+
+    limit: str = "radius"
+
+
+# The most letters the words a search has visited may hold in all; a
+# radius-4 ball around a six-letter b3 word holds up to about 1.2 million.
+MAX_SEARCH_LETTERS = 10**7
 
 
 def default_length_cap(u_len: int, v_len: int, radius: int) -> int:
@@ -50,10 +68,12 @@ def default_length_cap(u_len: int, v_len: int, radius: int) -> int:
     return 2 * max(u_len, v_len) + 2 * radius
 
 
-# Internal state encoding: a word is a tuple of small ints, generator i
-# positively as i and inverted as i + n.  Tuples hash fast and keep the
-# visited set compact.
-_State = tuple[int, ...]
+# Internal state encoding: a word is a str of one character per letter,
+# generator i positively as chr(i) and inverted as chr(i + n).  Such a str
+# hashes fast, takes one byte per letter below 256 generators and is not
+# tracked by the garbage collector: a visited word of 13 letters costs 62
+# bytes, against 160 as a tuple of ints.
+_State = str
 
 # An elementary move, labelled by what it does at position i of a word:
 # ("cancel", i, letter) drops the inverse pair that starts with ``letter``,
@@ -74,10 +94,14 @@ class SearchSpace:
             )
         self.polygraph = p
         n = len(p.gens)
-        self._letters = tuple(Letter(g, sign) for sign in (1, -1) for g in p.gens)
-        self._codes = {letter: i for i, letter in enumerate(self._letters)}
-        self._mates = tuple(range(n, 2 * n)) + tuple(range(n))
-        self._pairs = tuple((letter, self._mates[letter]) for letter in range(2 * n))
+        letters = [Letter(g, sign) for sign in (1, -1) for g in p.gens]
+        codes = [chr(i) for i in range(2 * n)]
+        self._codes = dict(zip(letters, codes))
+        self._letters = dict(zip(codes, letters))
+        self._mates = dict(zip(codes, codes[n:] + codes[:n]))
+        self._pairs = tuple(
+            (letter, code + self._mates[code]) for letter, code in zip(letters, codes)
+        )
         # Both replacement directions for every relation.
         self._swaps: list[tuple[_State, _State, tuple[str, int]]] = []
         for rel, (lhs, rhs) in p.rels.items():
@@ -94,14 +118,14 @@ class SearchSpace:
     def encode(self, word: Word | str) -> _State:
         letters = self._word(word).letters
         try:
-            return tuple(self._codes[letter] for letter in letters)
+            return "".join(self._codes[letter] for letter in letters)
         except KeyError as exc:
             raise UnknownGenerator(f"unknown generator {exc.args[0].gen!r}") from None
 
     def decode(self, state: _State) -> Word:
         """The Word a state spells, at the presentation's one 0-cell."""
         cell = self.polygraph.cells0[0]
-        return Word(tuple(self._letters[letter] for letter in state), cell, cell)
+        return Word(tuple(self._letters[code] for code in state), cell, cell)
 
     def moves(self, state: _State, length_cap: int) -> Iterator[tuple[_State, Move]]:
         """Every word one elementary move away, each with its Move label:
@@ -115,8 +139,8 @@ class SearchSpace:
         if length + 2 <= length_cap:
             for i in range(length + 1):
                 head, tail = state[:i], state[i:]
-                for letter, pair in enumerate(self._pairs):
-                    yield head + pair + tail, ("insert", i, self._letters[letter])
+                for letter, pair in self._pairs:
+                    yield head + pair + tail, ("insert", i, letter)
         for pattern, replacement, label in self._swaps:
             span = len(pattern)
             if length - span + len(replacement) > length_cap:
@@ -138,8 +162,10 @@ def bfs_reach(
     length_cap: int,
 ) -> dict[_State, int]:
     """Every word reachable from the free reduction of ``start``, with its
-    distance in moves.  Keys are internal letter tuples; look up a target
-    with a SearchSpace's ``encode`` of its ``Word.reduce``."""
+    distance in moves.  Keys are internal letter strings; look up a target
+    with a SearchSpace's ``encode`` of its ``Word.reduce``.  Raises
+    SearchLimitExceeded if they would hold more than MAX_SEARCH_LETTERS
+    letters."""
     space = p_or_space if isinstance(p_or_space, SearchSpace) else SearchSpace(p_or_space)
     return dict(_search(space, space.encode(space._word(start).reduce()), radius, length_cap))
 
@@ -159,7 +185,8 @@ def bfs_equal(
     The search starts at the free reduction of u and succeeds when the free
     reduction of v appears.  ``Equal(k)`` reports the number of moves on the
     shortest such chain; NotWithinRadius means only that no chain exists
-    within this radius and length cap.
+    within this radius and length cap, or that the search stopped at
+    MAX_SEARCH_LETTERS (its ``limit`` says which).
     """
     space = p if isinstance(p, SearchSpace) else SearchSpace(p)
     u, v = space._word(u), space._word(v)
@@ -167,9 +194,12 @@ def bfs_equal(
     goal = space.encode(v.reduce())
     if length_cap is None:
         length_cap = default_length_cap(len(u), len(v), radius)
-    for state, depth in _search(space, start, radius, length_cap):
-        if state == goal:
-            return Equal(depth)
+    try:
+        for state, depth in _search(space, start, radius, length_cap):
+            if state == goal:
+                return Equal(depth)
+    except SearchLimitExceeded:
+        return NotWithinRadius("max_search_letters")
     return NotWithinRadius()
 
 
@@ -177,15 +207,22 @@ def _search(
     space: SearchSpace, origin: _State, radius: int, length_cap: int
 ) -> Iterator[tuple[_State, int]]:
     """Breadth-first: each word within ``radius`` moves of ``origin``, once,
-    with its distance, nearest first."""
+    with its distance, nearest first.  Raises SearchLimitExceeded once the
+    words visited hold more than MAX_SEARCH_LETTERS letters."""
     yield origin, 0
     seen = {origin}
+    letters = len(origin)
     frontier = [origin]
     for depth in range(1, radius + 1):
         next_frontier: list[_State] = []
         for state in frontier:
             for child, _ in space.moves(state, length_cap):
                 if child not in seen:
+                    letters += len(child)
+                    if letters > MAX_SEARCH_LETTERS:
+                        raise SearchLimitExceeded(
+                            f"the words searched hold more than {MAX_SEARCH_LETTERS} letters"
+                        )
                     seen.add(child)
                     next_frontier.append(child)
                     yield child, depth

@@ -15,9 +15,11 @@ decreases this order, which makes normalize() terminate.
 Internally a word is a ``bytes`` value, one byte per letter index; the
 public functions speak word text (``a b' a^2``) or Word values.
 
-normalize() rewrites the redex that ends first.  In the inter-reduced
-systems complete() builds that is the leftmost redex; a hand-built system
-may differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to ``a y c``, not ``x``.
+Queries and complete() run on a rule index, an automaton over the left
+sides (see _Matcher): normalize() reads a letter in one transition and
+rewrites the redex that ends first.  In the inter-reduced systems
+complete() builds that is the leftmost redex; a hand-built system may
+differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to ``a y c``, not ``x``.
 
 The text serialization of a system is one rule per line after an order
 header, and parses back with parse_system()::
@@ -263,51 +265,114 @@ def encode(
 
 
 class _Matcher:
-    """The one rule index: left side -> right side in rule order, plus the
-    left sides bucketed by last letter.  complete() edits it in place.  Of
-    two rules with equal left sides the lower rule index wins."""
+    """The one rule index: an automaton over the live left sides
+    (Aho-Corasick, CACM 1975) that complete() edits in place.
+
+    ``rules`` maps left side -> right side in rule order and ``rank`` gives
+    each left side its rule index; of two rules with equal left sides the
+    lower index wins.  The states are the prefixes of the left sides:
+    ``prefixes`` maps each nonempty one to the left sides it starts, and the
+    empty word is the start state.  Reading a letter goes to the longest
+    suffix of state + letter that is a state, so the state after a word is
+    the longest suffix of the word that starts a left side, and a left side
+    ends the word exactly when it ends that state.  A state's redex is the
+    lowest-index left side that ends it.  Transitions and redexes are
+    computed on first use and kept in ``moves`` until the next add() or
+    retire().  ``suffixes`` maps each proper suffix of a left side to the
+    left sides it ends; with ``prefixes`` it finds a left side's overlaps.
+    Each prefix and suffix is its own key, so a left side of L letters costs
+    about L² bytes; complete() bounds L by ``max_lhs_len``.
+    """
 
     def __init__(self, rules):
         self.rules: dict[bytes, bytes] = {}
-        self.by_last: dict[int, list[bytes]] = {}
+        self.rank: dict[bytes, int] = {}
+        self.prefixes: dict[bytes, list[bytes]] = {}
+        self.suffixes: dict[bytes, list[bytes]] = {}
+        self.moves: dict[bytes, dict[int, tuple[bytes, bytes | None]]] = {}
+        self.added = 0
         for rule in rules:  # rule order is the rule index order
             if rule.lhs not in self.rules:
                 self.add(rule.lhs, rule.rhs)
 
     def add(self, lhs: bytes, rhs: bytes) -> None:
         self.rules[lhs] = rhs
-        self.by_last.setdefault(lhs[-1], []).append(lhs)
+        self.rank[lhs] = self.added
+        self.added += 1
+        for table, part in self._parts(lhs):
+            table.setdefault(part, []).append(lhs)
+        self.moves = {}
 
     def retire(self, lhs: bytes) -> None:
-        del self.rules[lhs]
-        self.by_last[lhs[-1]].remove(lhs)
+        del self.rules[lhs], self.rank[lhs]
+        for table, part in self._parts(lhs):
+            table[part].remove(lhs)
+            if not table[part]:
+                del table[part]
+        self.moves = {}
 
-    def redex(self, word) -> bytes | None:
-        """The left side that ends ``word`` (lowest rule index first), or None."""
-        for lhs in self.by_last.get(word[-1], ()):
-            if word.endswith(lhs):
-                return lhs
-        return None
+    def _parts(self, lhs: bytes):
+        """Where ``lhs`` is listed: under each nonempty prefix and each proper
+        suffix."""
+        for k in range(1, len(lhs) + 1):
+            yield self.prefixes, lhs[:k]
+        for k in range(1, len(lhs)):
+            yield self.suffixes, lhs[k:]
+
+    def step(self, state: bytes, letter: int) -> tuple[bytes, bytes | None]:
+        """The state after reading ``letter`` in ``state``, and its redex."""
+        row = self.moves.setdefault(state, {})
+        if letter not in row:
+            word = state + bytes((letter,))
+            while word and word not in self.prefixes:
+                word = word[1:]
+            ends = [word[k:] for k in range(len(word)) if word[k:] in self.rank]
+            row[letter] = word, min(ends, key=self.rank.__getitem__, default=None)
+        return row[letter]
+
+    def overlaps(self, lhs: bytes) -> list[bytes]:
+        """The other live left sides that a proper suffix of ``lhs`` starts or
+        a proper prefix of ``lhs`` ends, in rule order: the only rules that
+        can form a critical pair with it when no left side lies in another."""
+        found: set[bytes] = set()
+        for k in range(1, len(lhs)):
+            found.update(self.prefixes.get(lhs[k:], ()))
+            found.update(self.suffixes.get(lhs[:k], ()))
+        found.discard(lhs)
+        return sorted(found, key=self.rank.__getitem__)
 
     def normalize(self, word: bytes, max_steps: int) -> bytes:
-        """Read letters onto an irreducible stack, cutting off a left side that
-        ends it and pushing its right side back onto the letters to read.
-        With no left side inside another, the redex that ends first is the
-        leftmost and only one rule matches there: this rewrites the same
-        redexes in the same order as leftmost-lowest rewriting."""
-        rules, redex = self.rules, self.redex
+        """Read letters onto an irreducible stack, with the state after each
+        prefix of it on a second stack.  When a letter leads to a state with
+        a redex, cut the redex off both stacks and push its right side back
+        onto the letters to read.  With no left side inside another, the
+        redex that ends first is the leftmost and only one rule matches
+        there: this rewrites the same redexes in the same order as
+        leftmost-lowest rewriting."""
+        rules, moves, step = self.rules, self.moves, self.step
         stack = bytearray()
+        state = b""
+        states = [state]  # states[i] is the state after stack[:i]
         todo = bytearray(word[::-1])  # the next letter to read is last
         steps = 0
         while todo:
-            stack.append(todo.pop())
-            lhs = redex(stack)
-            if lhs is not None:
-                steps += 1
-                if steps > max_steps:
-                    raise StepLimitExceeded(f"no normal form after {max_steps} rewrite steps")
-                del stack[len(stack) - len(lhs):]
-                todo += rules[lhs][::-1]
+            letter = todo.pop()
+            try:
+                after, lhs = moves[state][letter]
+            except KeyError:
+                after, lhs = step(state, letter)
+            if lhs is None:
+                stack.append(letter)
+                states.append(after)
+                state = after
+                continue
+            steps += 1
+            if steps > max_steps:
+                raise StepLimitExceeded(f"no normal form after {max_steps} rewrite steps")
+            keep = len(stack) + 1 - len(lhs)
+            del stack[keep:], states[keep + 1:]
+            state = states[-1]
+            todo += rules[lhs][::-1]
         return bytes(stack)
 
 
@@ -412,10 +477,9 @@ def complete(
                 return GaveUp(snapshot(), "max_lhs_len")
             # lhs is irreducible, so it contains no left side; retiring those
             # that contain it keeps the system inter-reduced.
-            for old_lhs, old_rhs in list(rules.items()):
-                if lhs in old_lhs:
-                    index.retire(old_lhs)
-                    push([(old_lhs, old_lhs, old_rhs)])
+            for old_lhs, old_rhs in _containing(lhs, rules.items(), rules):
+                index.retire(old_lhs)
+                push([(old_lhs, old_lhs, old_rhs)])
             index.add(lhs, rhs)
             if len(rules) > max_rules:
                 return GaveUp(snapshot(), "max_rules")
@@ -423,14 +487,15 @@ def complete(
             # it is now; each keeps its slot, also when a step limit fires.
             fresh: dict[bytes, bytes] = {}
             try:
-                for old_lhs, old_rhs in rules.items():
-                    if lhs in old_rhs:
-                        fresh[old_lhs] = index.normalize(old_rhs, max_steps)
+                for old_lhs, old_rhs in _containing(lhs, rules.items(), rules.values()):
+                    fresh[old_lhs] = index.normalize(old_rhs, max_steps)
             finally:
                 rules.update(fresh)
-            # Queue the pairs the new rule (the last) creates, in both roles.
-            *olds, new = rules.items()
-            for old in olds:
+            # Queue the pairs the new rule creates with each rule it overlaps,
+            # in rule order and both roles, then with itself.
+            new = (lhs, rules[lhs])
+            for old_lhs in index.overlaps(lhs):
+                old = (old_lhs, rules[old_lhs])
                 push(_pairs_between(new, old))
                 push(_pairs_between(old, new))
             push(_pairs_between(new, new))
@@ -440,6 +505,15 @@ def complete(
         return Converged(certify(snapshot()))
     except NotConvergent as exc:
         raise InternalError(f"completion produced a non-convergent system: {exc}") from None
+
+
+def _containing(part: bytes, items, words) -> list:
+    """The items whose word (``words`` runs beside ``items``) contains
+    ``part``.  One search of all the words joined rules out the common
+    case, none, without a loop over them."""
+    if part not in b"\xff".join(words):
+        return []
+    return [item for item, word in zip(items, words) if part in word]
 
 
 def _pairs_between(r1: tuple[bytes, bytes], r2: tuple[bytes, bytes]):
@@ -546,16 +620,17 @@ def _normal_form_bytes(system: RewritingSystem, cap: int) -> list[bytes] | MoreT
         raise NotConvergent("normal forms require a proven-convergent system")
     if cap < 1:
         return MoreThanCap(1)
-    redex = system._matcher.redex
-    words: list[bytes] = [b""]
-    for stem in words:  # the list is its own breadth-first queue
+    step = system._matcher.step
+    words, states = [b""], [b""]  # each word with its automaton state
+    for stem, state in zip(words, states):  # the lists are their own queue
         for letter in range(len(system.alphabet)):
-            word = stem + bytes([letter])
-            if redex(word) is not None:  # stem is irreducible: only a suffix can match
+            after, lhs = step(state, letter)
+            if lhs is not None:  # stem is irreducible: only a suffix can match
                 continue
             if len(words) + 1 > cap:
                 return MoreThanCap(len(words) + 1)
-            words.append(word)
+            words.append(stem + bytes((letter,)))
+            states.append(after)
     return words
 
 

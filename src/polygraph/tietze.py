@@ -649,12 +649,12 @@ def synthesize_witness(
     if length_cap is None:
         length_cap = default_length_cap(len(source), len(target), radius)
     start, goal = space.encode(source), space.encode(target)
-    parents: dict[tuple, tuple[tuple, Move] | None] = {start: None}
+    parents: dict[str, tuple[str, Move] | None] = {start: None}
     frontier = [start]
     for _ in range(radius):
         if goal in parents or len(parents) > max_states:
             break
-        next_frontier: list[tuple] = []
+        next_frontier: list[str] = []
         for state in frontier:
             for child, move in space.moves(state, length_cap):
                 if child not in parents:

@@ -27,8 +27,11 @@ from polygraph.model import (
     step,
 )
 from polygraph.rewriting import (
+    Alphabet,
     Converged,
+    Rule,
     RewritingSystem,
+    _Matcher,
     complete,
     encode,
     normalize_bytes,
@@ -385,8 +388,115 @@ def reference_normalize(system: RewritingSystem, word: bytes) -> tuple[bytes, in
     return word, steps
 
 
+def bucket_normalize(system: RewritingSystem, word: bytes) -> tuple[bytes, int]:
+    """The stack normalizer over left sides bucketed by their last letter:
+    after each letter read, the first left side in that letter's bucket (in
+    rule order) that ends the stack is cut off, and its right side is pushed
+    back onto the letters to read.  The normal form and the number of
+    rewrite steps; a reference for the automaton, which must rewrite the
+    same redex, also when left sides contain one another or repeat."""
+    rules: dict[bytes, bytes] = {}
+    by_last: dict[int, list[bytes]] = {}
+    for rule in system.rules:
+        if rule.lhs not in rules:
+            rules[rule.lhs] = rule.rhs
+            by_last.setdefault(rule.lhs[-1], []).append(rule.lhs)
+    stack, todo, steps = bytearray(), bytearray(word[::-1]), 0
+    while todo:
+        stack.append(todo.pop())
+        for lhs in by_last.get(stack[-1], ()):
+            if stack.endswith(lhs):
+                steps += 1
+                del stack[len(stack) - len(lhs):]
+                todo += rules[lhs][::-1]
+                break
+    return bytes(stack), steps
+
+
+def random_rules(rng: random.Random, letters: int, count: int, max_len: int = 5) -> list[Rule]:
+    """Shortlex-decreasing rules over ``letters`` letters, with some left
+    sides inside others and some repeated with another right side."""
+    rules: list[Rule] = []
+    while len(rules) < count:
+        roll = rng.random()
+        if rules and roll < 0.2:
+            lhs = rng.choice(rules).lhs  # a repeated left side
+        elif rules and roll < 0.4:
+            outer = rng.choice(rules).lhs  # a left side inside another
+            start = rng.randrange(len(outer))
+            lhs = outer[start:rng.randint(start + 1, len(outer))]
+        else:
+            lhs = bytes(rng.randrange(letters) for _ in range(rng.randint(1, max_len)))
+        rhs = bytes(rng.randrange(letters) for _ in range(rng.randint(0, len(lhs))))
+        if (len(lhs), lhs) > (len(rhs), rhs):
+            rules.append(Rule(lhs, rhs))
+    return rules
+
+
+def random_rule_systems(seed: int, count: int) -> list[RewritingSystem]:
+    """Hand-built systems of random_rules over 2 to 4 letters."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        letters = rng.randint(2, 4)
+        alphabet = Alphabet("abcd"[:letters])
+        systems.append(RewritingSystem(alphabet, random_rules(rng, letters, rng.randint(1, 8))))
+    return systems
+
+
+def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
+    """An index driven through random add() and retire() calls, normalizing
+    words between them so its memo fills, answers like a fresh _Matcher
+    built from its final rules: the same normal forms and step counts, the
+    same irreducible one-letter extensions, and the same overlaps."""
+    rng = random.Random(seed)
+    ran = 0
+    for _ in range(cases):
+        letters = rng.randint(2, 4)
+        index = _Matcher(())
+        for _ in range(rng.randint(1, 30)):
+            if index.rules and rng.random() < 0.4:
+                index.retire(rng.choice(list(index.rules)))
+            else:
+                for rule in random_rules(rng, letters, 1):
+                    if rule.lhs not in index.rules:
+                        index.add(rule.lhs, rule.rhs)
+            for _ in range(3):
+                word = bytes(rng.randrange(letters) for _ in range(rng.randint(0, 12)))
+                index.normalize(word, 10**6)
+        fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()])
+        assert list(index.rules.items()) == list(fresh.rules.items())
+        for _ in range(20):
+            word = bytes(rng.randrange(letters) for _ in range(rng.randint(0, 12)))
+            assert _steps_and_normal_form(index, word) == _steps_and_normal_form(fresh, word)
+            state, fresh_state = b"", b""
+            for letter in word:
+                state, lhs = index.step(state, letter)
+                fresh_state, fresh_lhs = fresh.step(fresh_state, letter)
+                assert (state, lhs) == (fresh_state, fresh_lhs)
+                if lhs is not None:
+                    break
+        for lhs in index.rules:
+            assert index.overlaps(lhs) == fresh.overlaps(lhs)
+        ran += 1
+    return ran
+
+
+def _steps_and_normal_form(index: _Matcher, word: bytes) -> tuple[int, bytes]:
+    """The fewest ``max_steps`` that normalize needs, and the normal form."""
+    steps = 0
+    while True:
+        try:
+            return steps, index.normalize(word, steps)
+        except StepLimitExceeded:
+            steps += 1
+
+
 def run_reference_strategy_suite(
-    systems: list[RewritingSystem], seed: int = 0, cases: int = 1000
+    systems: list[RewritingSystem],
+    seed: int = 0,
+    cases: int = 1000,
+    reference=reference_normalize,
 ) -> int:
     """On ``cases`` random words per system, normalize_bytes gives the
     reference's normal form, and the fewest ``max_steps`` it needs is the
@@ -397,7 +507,7 @@ def run_reference_strategy_suite(
         n = len(system.alphabet)
         for _ in range(cases):
             w = bytes(rng.randrange(n) for _ in range(rng.randint(0, 40)))
-            nf, steps = reference_normalize(system, w)
+            nf, steps = reference(system, w)
             assert normalize_bytes(system, w, steps) == nf
             if steps:
                 try:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -152,6 +153,14 @@ class TestEq:
             "radius": 3,
         }
 
+    def test_a_search_past_its_letter_bound_is_undecided(self, capsys):
+        # Every insertion child of a^999999 has a million letters: the
+        # search stops after about ten of them instead of building millions.
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["eq", B3, "a^999999", "1", "--radius", "1"])
+        assert (code, out) == (2, "undecided\n")
+        assert "max_search_letters" in err
+        assert time.perf_counter() - start < 60
 
     def test_both_methods_read_the_same_word_grammar(self, capsys):
         # z5 converges, so eq uses normal forms; b3 falls back to search.

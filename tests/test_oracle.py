@@ -15,6 +15,7 @@ from polygraph.errors import (
     InternalError,
     LawViolation,
     MultiObjectUnsupported,
+    SearchLimitExceeded,
     UnknownGenerator,
 )
 from polygraph.oracle import (
@@ -91,6 +92,13 @@ class TestBfs:
         # a and b present distinct elements; radius 6 must abstain,
         # and abstention is all it may claim.
         assert bfs_equal(b3, "a", "b", 6) == NotWithinRadius()
+
+    def test_a_search_stops_at_its_letter_bound(self, b3, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SEARCH_LETTERS", 200)
+        assert bfs_equal(b3, "a", "b", 6) == NotWithinRadius("max_search_letters")
+        assert bfs_equal(b3, "a b a", "b a b", 1) == Equal(1)  # found before the bound
+        with pytest.raises(SearchLimitExceeded):
+            bfs_reach(b3, "a", 6, length_cap=14)
 
     def test_insertion_moves_are_needed_for_inverses(self):
         z2 = parse("< a | a a = 1 >")

@@ -1,6 +1,7 @@
 """String rewriting: encoding, completion, verification, and normal forms."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -372,6 +373,123 @@ class TestNormalize:
         assert all(system.convergent == "proven" for system in systems)
         systems.append(complete(encode(load("b3.plg")), max_rules=128).system)
         assert props.run_reference_strategy_suite(systems, seed=81, cases=1000) == 12000
+
+
+def dihedral(n: int, balanced: bool):
+    """D_n as ``r^n = 1, s^2 = 1, r s r s = 1``, or with every relation
+    balanced: ``r^h = r^-h, s = s', r s = s' r'`` for n = 2h."""
+    if balanced:
+        return presentations.parse(f"< r, s | r^{n // 2} = r^-{n // 2}, s = s', r s = s' r' >")
+    return presentations.parse(f"< r, s | r^{n} = 1, s^2 = 1, r s r s = 1 >")
+
+
+# SHA-1 of format_system for each completion, with its outcome, as the
+# last-letter-bucket index produced them: the automaton and the overlap
+# finder must leave every rule set, and the order of its rules, unchanged.
+COMPLETION_DIGESTS = [
+    ("b3-20", lambda: complete(encode(load("b3.plg")), max_rules=20),
+     "max_rules", "1c9afe3930af73616ba2aab7feaad4264974cfb6"),
+    ("b3-64", lambda: complete(encode(load("b3.plg")), max_rules=64),
+     "max_rules", "bf7471631571c8acce175557cbfd6c400cfbf7f2"),
+    ("b3-128", lambda: complete(encode(load("b3.plg")), max_rules=128),
+     "max_rules", "b5ef0162e44d28fd5da0b6d47c847dc7a02633b1"),
+    ("b3-256", lambda: complete(encode(load("b3.plg")), max_rules=256),
+     "max_rules", "8174b191e0d1f2287c60592c7aa79006f57d1879"),
+    ("b3-512", lambda: complete(encode(load("b3.plg")), max_rules=512),
+     "max_rules", "d01340e0dbde616dce8ad820684a34a443224c58"),
+    ("D10", lambda: complete(encode(dihedral(10, False)), max_lhs_len=1000),
+     None, "1fbcb9026c02de172b2656e022f3239cb9337e6d"),
+    ("D20", lambda: complete(encode(dihedral(20, False)), max_lhs_len=1000),
+     None, "d4832b70548dfc59b87a6ebe39889c0da2179765"),
+    ("D30", lambda: complete(encode(dihedral(30, False)), max_lhs_len=1000),
+     None, "74792cdb6af276206265b0486401d537b149f907"),
+    ("D30-balanced", lambda: complete(encode(dihedral(30, True))),
+     None, "c55f5708662bfa6d6ff4f6f5d59170a74b0b997a"),
+    ("D50-balanced", lambda: complete(encode(dihedral(50, True))),
+     None, "dec0e4f2b93e69c17256aba9eee9b7e5d3e0afbb"),
+    ("d5", lambda: complete(encode(load("d5.plg"))),
+     None, "cce7d2adb443be5aaf9f9427bcc63399a9a5e1aa"),
+    ("q8", lambda: complete(encode(load("q8.plg"))),
+     None, "d96c961e493ae51a01766eb128460a8efa81c0dd"),
+    ("z5", lambda: complete(encode(load("z5.plg"))),
+     None, "72ce094ea3c4a2cd785af5d6add4b8a70b1dcb0b"),
+]
+
+
+class TestAutomaton:
+    @pytest.mark.parametrize(
+        "run, reason, digest", [case[1:] for case in COMPLETION_DIGESTS],
+        ids=[case[0] for case in COMPLETION_DIGESTS],
+    )
+    def test_completion_output_is_pinned(self, run, reason, digest):
+        out = run()
+        assert isinstance(out, GaveUp if reason else Converged)
+        assert getattr(out, "reason", None) == reason
+        assert hashlib.sha1(format_system(out.system).encode()).hexdigest() == digest
+
+    def test_a_new_rule_is_paired_only_with_the_rules_it_overlaps(self, monkeypatch):
+        calls = []
+        pairs_between = rewriting._pairs_between
+
+        def counting(r1, r2):
+            calls.append((r1, r2))
+            return pairs_between(r1, r2)
+
+        monkeypatch.setattr(rewriting, "_pairs_between", counting)
+        out = complete(encode(load("b3.plg")), max_rules=128)
+        assert isinstance(out, GaveUp)
+        assert len(calls) < 8000  # 17,287 when paired with every live rule
+
+    def test_critical_pairs_are_queued_in_the_sweep_order(self, monkeypatch):
+        # Every queue entry (peak length, peak, serial, both sides), in push
+        # order, as pairing each new rule with every live rule queued them.
+        pushed = hashlib.sha1()
+        heappush = rewriting.heappush
+
+        def recording(queue, entry):
+            pushed.update(repr(entry).encode())
+            heappush(queue, entry)
+
+        monkeypatch.setattr(rewriting, "heappush", recording)
+        complete(encode(load("b3.plg")), max_rules=128)
+        assert pushed.hexdigest() == "80703145da8add93c7f2f76adf093d827916e66c"
+
+    def test_hand_built_systems_rewrite_like_last_letter_buckets(self):
+        # Left sides that contain one another or repeat: the redex that ends
+        # first, the lower rule index first, with the same step counts.
+        systems = props.random_rule_systems(seed=91, count=200)
+        ran = props.run_reference_strategy_suite(
+            systems, seed=92, cases=50, reference=props.bucket_normalize
+        )
+        assert ran == 10000
+
+    def test_an_edited_index_answers_like_a_fresh_one(self):
+        assert props.run_index_edit_suite(seed=93, cases=300) == 300
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            ("< a | a^5 = 1 >", 5),
+            ("< r, s | r^5 = 1, s^2 = 1, r s r s = 1 >", 10),
+            ("< i, j | i = j i j, j = i j i >", 8),
+            ("< a, b, c | a^2 = 1, b^2 = 1, c^2 = 1,"
+             " a b a = b a b, b c b = c b c, a c = c a >", 24),
+            ("< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >", 60),
+        ],
+        ids=["z5", "d5", "q8", "S4", "A5"],
+    )
+    def test_enumeration_lists_the_words_no_left_side_ends(self, text, order):
+        system = complete(encode(presentations.parse(text))).system
+        sides = [rule.lhs for rule in system.rules]
+        expected = [b""]
+        for stem in expected:
+            for letter in range(len(system.alphabet)):
+                word = stem + bytes((letter,))
+                if not any(word.endswith(lhs) for lhs in sides):
+                    expected.append(word)
+        assert len(expected) == order
+        found = enumerate_normal_forms(system)
+        assert found == Finite([system.word_text(word) for word in expected])
 
 
 class TestFrozenSystems:

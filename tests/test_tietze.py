@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,7 +12,7 @@ import props
 from conftest import DATA, load
 from polygraph import tietze
 from polygraph.errors import ParseError, TietzeError, UnknownGenerator
-from polygraph.model import Gen, Id, Inv, boundary, chain, euler_data
+from polygraph.model import Gen, Horiz, Id, Inv, Vert, boundary, chain, euler_data
 from polygraph.oracle import SearchSpace
 from polygraph.presentations import parse
 from polygraph.rewriting import (
@@ -513,6 +515,22 @@ class TestDeepDerivations:
         deep = parse_derivation(text, b3)
         assert repr(deep) == str(deep) == format_derivation(deep) == text
         assert repr(T2(deep, "r2")).startswith("T2(witness=(inv (inv ")
+
+    def test_deep_witnesses_pickle_and_copy_without_recursion(self, b3):
+        text = "(inv " * 3000 + "(gen r1 +)" + ")" * 3000
+        deep = parse_derivation(text, b3)
+        for again in (pickle.loads(pickle.dumps(deep)), copy.deepcopy(deep)):
+            assert again is not deep
+            assert again == deep
+            assert format_derivation(again) == text
+
+    def test_a_shared_subtree_stays_shared_when_copied(self, b3):
+        shared = Inv(Gen("r1", 1))
+        tree = Vert(shared, Horiz(Id(b3.word("a")), shared))
+        for again in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+            assert again == tree
+            assert again.first is again.second.right
+            assert again.first is not shared
 
     def test_unbalanced_deep_text_is_a_parse_error(self, b3):
         with pytest.raises(ParseError, match="end of derivation"):

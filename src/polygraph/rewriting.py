@@ -16,8 +16,10 @@ Internally a word is a ``bytes`` value, one byte per letter index; the
 public functions speak word text (``a b' a^2``) or Word values.
 
 Queries and complete() run on a rule index, an automaton over the left
-sides (see _Matcher): normalize() reads a letter in one transition and
-rewrites the redex that ends first.  In the inter-reduced systems
+sides (see _Matcher) with numbered states, whose transitions and redexes
+fill one list row per state as they are first needed; adding or retiring
+a rule drops the rows.  normalize() reads a letter with one list lookup
+and rewrites the redex that ends first.  In the inter-reduced systems
 complete() builds that is the leftmost redex; a hand-built system may
 differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to ``a y c``, not ``x``.
 
@@ -46,7 +48,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .model import Polygraph
-from .words import Word, scan_word
+from .words import _SPACED_RE, MAX_WORD_LETTERS, Word, scan_word
 
 __all__ = [
     "Alphabet",
@@ -94,6 +96,7 @@ class Alphabet:
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("alphabet letters must be distinct")
         self._index = {name: i for i, name in enumerate(self.letters)}
+        self._bytes = bytes(range(len(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -113,16 +116,39 @@ class Alphabet:
         return self._index[name]
 
     def word_bytes(self, word) -> bytes:
-        """Encode a Word, word text, or bytes into letter indices."""
+        """Encode a Word, word text, or bytes into letter indices;
+        UnknownGenerator for a letter outside the alphabet."""
         if isinstance(word, bytes):
+            foreign = word.translate(None, self._bytes)
+            if foreign:
+                raise UnknownGenerator(
+                    f"letter index {foreign[0]} is not in the alphabet of {len(self)} letters"
+                )
             return word
         if isinstance(word, Word):
             return bytes(
                 self.index(_letter_name(letter.gen, letter.sign)) for letter in word.letters
             )
         if isinstance(word, str):
-            return self.encode_runs(scan_word(word))
+            return self._text_bytes(word)
         raise TypeError(f"cannot encode {word!r} as a word")
+
+    def _text_bytes(self, text: str) -> bytes:
+        """Word text as letter indices, reading each distinct term once.
+
+        Any failure (a bad term, ``1`` beside other terms, an unknown letter,
+        more than MAX_WORD_LETTERS letters) reads the whole text again term
+        by term, so the error is the one that reading raises, at its term."""
+        tokens = _SPACED_RE.findall(text)
+        try:
+            terms = {token: self.encode_runs(scan_word(token)) for token in set(tokens)}
+        except (ParseError, UnknownGenerator):
+            terms = {}
+        if terms and ("1" not in terms or len(tokens) == 1):
+            sizes = {token: len(letters) for token, letters in terms.items()}
+            if sum(map(sizes.__getitem__, tokens)) <= MAX_WORD_LETTERS:
+                return b"".join(map(terms.__getitem__, tokens))
+        return self.encode_runs(scan_word(text))
 
     def encode_runs(self, runs) -> bytes:
         """Letter indices of words.scan_word runs; UnknownGenerator for a
@@ -276,12 +302,20 @@ class _Matcher:
     suffix of state + letter that is a state, so the state after a word is
     the longest suffix of the word that starts a left side, and a left side
     ends the word exactly when it ends that state.  A state's redex is the
-    lowest-index left side that ends it.  Transitions and redexes are
-    computed on first use and kept in ``moves`` until the next add() or
-    retire().  ``suffixes`` maps each proper suffix of a left side to the
-    left sides it ends; with ``prefixes`` it finds a left side's overlaps.
-    Each prefix and suffix is its own key, so a left side of L letters costs
-    about L² bytes; complete() bounds L by ``max_lhs_len``.
+    lowest-index left side that ends it.  ``suffixes`` maps each proper
+    suffix of a left side to the left sides it ends; with ``prefixes`` it
+    finds a left side's overlaps.  Each prefix and suffix is its own key, so
+    a left side of L letters costs about L² bytes; complete() bounds L by
+    ``max_lhs_len``.
+
+    Queries run on integer states: ``ids`` numbers each state met so far
+    (the start state is 0) and ``states`` lists them by number.  ``rows[i]``
+    has one slot per letter for state i: None until step() fills it, then
+    the next state's number, or ``~k`` when the letter completes a redex,
+    where ``actions[k]`` is (letters of the left side before the letter,
+    right side reversed).  add() and retire() drop the rows and actions,
+    because a new or retired left side changes the states and redexes; a
+    new right side for a live left side changes only its action (set_rhs).
     """
 
     def __init__(self, rules):
@@ -289,11 +323,18 @@ class _Matcher:
         self.rank: dict[bytes, int] = {}
         self.prefixes: dict[bytes, list[bytes]] = {}
         self.suffixes: dict[bytes, list[bytes]] = {}
-        self.moves: dict[bytes, dict[int, tuple[bytes, bytes | None]]] = {}
         self.added = 0
+        self._clear()
         for rule in rules:  # rule order is the rule index order
             if rule.lhs not in self.rules:
                 self.add(rule.lhs, rule.rhs)
+
+    def _clear(self) -> None:
+        self.ids: dict[bytes, int] = {b"": 0}
+        self.states: list[bytes] = [b""]
+        self.rows: list[list[int | None]] = [[]]
+        self.actions: list[tuple[int, bytes]] = []
+        self.action_of: dict[bytes, int] = {}  # left side -> ~k
 
     def add(self, lhs: bytes, rhs: bytes) -> None:
         self.rules[lhs] = rhs
@@ -301,7 +342,7 @@ class _Matcher:
         self.added += 1
         for table, part in self._parts(lhs):
             table.setdefault(part, []).append(lhs)
-        self.moves = {}
+        self._clear()
 
     def retire(self, lhs: bytes) -> None:
         del self.rules[lhs], self.rank[lhs]
@@ -309,7 +350,13 @@ class _Matcher:
             table[part].remove(lhs)
             if not table[part]:
                 del table[part]
-        self.moves = {}
+        self._clear()
+
+    def set_rhs(self, lhs: bytes, rhs: bytes) -> None:
+        """Give the live left side ``lhs`` the right side ``rhs``."""
+        self.rules[lhs] = rhs
+        if lhs in self.action_of:
+            self.actions[~self.action_of[lhs]] = (len(lhs) - 1, rhs[::-1])
 
     def _parts(self, lhs: bytes):
         """Where ``lhs`` is listed: under each nonempty prefix and each proper
@@ -320,59 +367,101 @@ class _Matcher:
             yield self.suffixes, lhs[k:]
 
     def step(self, state: bytes, letter: int) -> tuple[bytes, bytes | None]:
-        """The state after reading ``letter`` in ``state``, and its redex."""
-        row = self.moves.setdefault(state, {})
-        if letter not in row:
-            word = state + bytes((letter,))
-            while word and word not in self.prefixes:
-                word = word[1:]
-            ends = [word[k:] for k in range(len(word)) if word[k:] in self.rank]
-            row[letter] = word, min(ends, key=self.rank.__getitem__, default=None)
+        """The state after reading ``letter`` in ``state``, and its redex;
+        records the answer in the slot of ``letter`` in the row of
+        ``state``."""
+        word = state + bytes((letter,))
+        while word and word not in self.prefixes:
+            word = word[1:]
+        ends = [word[k:] for k in range(len(word)) if word[k:] in self.rank]
+        lhs = min(ends, key=self.rank.__getitem__, default=None)
+        row = self.rows[self._number(state)]
+        if letter >= len(row):
+            row.extend([None] * (letter + 1 - len(row)))
+        if lhs is None:
+            row[letter] = self._number(word)
+        else:
+            if lhs not in self.action_of:
+                self.action_of[lhs] = ~len(self.actions)
+                self.actions.append((len(lhs) - 1, self.rules[lhs][::-1]))
+            row[letter] = self.action_of[lhs]
+        return word, lhs
+
+    def _number(self, state: bytes) -> int:
+        """The number of ``state``, with an empty row if it is new."""
+        if state not in self.ids:
+            self.ids[state] = len(self.states)
+            self.states.append(state)
+            self.rows.append([])
+        return self.ids[state]
+
+    def move(self, state: int, letter: int) -> int:
+        """The slot of ``letter`` in the row of state number ``state``."""
+        row = self.rows[state]
+        if letter >= len(row) or row[letter] is None:
+            self.step(self.states[state], letter)
         return row[letter]
 
-    def overlaps(self, lhs: bytes) -> list[bytes]:
-        """The other live left sides that a proper suffix of ``lhs`` starts or
-        a proper prefix of ``lhs`` ends, in rule order: the only rules that
-        can form a critical pair with it when no left side lies in another."""
-        found: set[bytes] = set()
+    def overlap_hits(self, lhs: bytes) -> list[tuple[int, int, int, bytes]]:
+        """(rank, behind, t, other) for each way a live left side ``other``
+        overlaps ``lhs`` by t letters, 0 < t < both lengths: ``behind`` is 0
+        when the last t letters of ``lhs`` start ``other`` (``lhs`` itself
+        among them) and 1 when the first t end ``other``.  Sorted, so in rule
+        order, ``lhs`` in front first, t ascending."""
+        rank, hits = self.rank, []
         for k in range(1, len(lhs)):
-            found.update(self.prefixes.get(lhs[k:], ()))
-            found.update(self.suffixes.get(lhs[:k], ()))
-        found.discard(lhs)
-        return sorted(found, key=self.rank.__getitem__)
+            t = len(lhs) - k
+            for other in self.prefixes.get(lhs[k:], ()):
+                if len(other) > t:
+                    hits.append((rank[other], 0, t, other))
+            for other in self.suffixes.get(lhs[:k], ()):
+                if other != lhs:
+                    hits.append((rank[other], 1, k, other))
+        hits.sort()
+        return hits
+
+    def overlaps(self, lhs: bytes) -> list[bytes]:
+        """The other live left sides that overlap ``lhs``, in rule order: the
+        only rules that can form a critical pair with it when no left side
+        lies in another."""
+        hits = self.overlap_hits(lhs)
+        return list(dict.fromkeys(other for *_, other in hits if other != lhs))
 
     def normalize(self, word: bytes, max_steps: int) -> bytes:
         """Read letters onto an irreducible stack, with the state after each
-        prefix of it on a second stack.  When a letter leads to a state with
-        a redex, cut the redex off both stacks and push its right side back
+        prefix of it on a second stack.  When a letter leads to a redex, cut
+        the rest of the redex off both stacks and push its right side back
         onto the letters to read.  With no left side inside another, the
         redex that ends first is the leftmost and only one rule matches
         there: this rewrites the same redexes in the same order as
         leftmost-lowest rewriting."""
-        rules, moves, step = self.rules, self.moves, self.step
+        rows, actions = self.rows, self.actions
         stack = bytearray()
-        state = b""
-        states = [state]  # states[i] is the state after stack[:i]
+        path = [0]  # path[i] is the state after stack[:i]
+        row = rows[0]
         todo = bytearray(word[::-1])  # the next letter to read is last
         steps = 0
         while todo:
             letter = todo.pop()
             try:
-                after, lhs = moves[state][letter]
-            except KeyError:
-                after, lhs = step(state, letter)
-            if lhs is None:
+                move = row[letter]
+            except IndexError:
+                move = None
+            if move is None:
+                move = self.move(path[-1], letter)
+            if move >= 0:
                 stack.append(letter)
-                states.append(after)
-                state = after
+                path.append(move)
+                row = rows[move]
                 continue
             steps += 1
             if steps > max_steps:
                 raise StepLimitExceeded(f"no normal form after {max_steps} rewrite steps")
-            keep = len(stack) + 1 - len(lhs)
-            del stack[keep:], states[keep + 1:]
-            state = states[-1]
-            todo += rules[lhs][::-1]
+            cut, rhs = actions[~move]
+            keep = len(stack) - cut
+            del stack[keep:], path[keep + 1:]
+            row = rows[path[-1]]
+            todo += rhs
         return bytes(stack)
 
 
@@ -490,15 +579,21 @@ def complete(
                 for old_lhs, old_rhs in _containing(lhs, rules.items(), rules.values()):
                     fresh[old_lhs] = index.normalize(old_rhs, max_steps)
             finally:
-                rules.update(fresh)
-            # Queue the pairs the new rule creates with each rule it overlaps,
-            # in rule order and both roles, then with itself.
-            new = (lhs, rules[lhs])
-            for old_lhs in index.overlaps(lhs):
-                old = (old_lhs, rules[old_lhs])
-                push(_pairs_between(new, old))
-                push(_pairs_between(old, new))
-            push(_pairs_between(new, new))
+                for old_lhs, old_rhs in fresh.items():
+                    index.set_rhs(old_lhs, old_rhs)
+            # Queue the critical pairs of the new rule with each rule it
+            # overlaps, in rule order (itself last), the new rule in front
+            # first, shortest overlap first.  No left side lies in another,
+            # so these are all of them.
+            pairs = []
+            for _, behind, t, other in index.overlap_hits(lhs):
+                if behind:
+                    tail = lhs[t:]
+                    pairs.append((other + tail, rules[other] + tail, other[:-t] + rhs))
+                else:
+                    tail = other[t:]
+                    pairs.append((lhs + tail, rhs + tail, lhs[:-t] + rules[other]))
+            push(pairs)
     except StepLimitExceeded:
         return GaveUp(snapshot(), "max_steps")
     try:
@@ -620,12 +715,12 @@ def _normal_form_bytes(system: RewritingSystem, cap: int) -> list[bytes] | MoreT
         raise NotConvergent("normal forms require a proven-convergent system")
     if cap < 1:
         return MoreThanCap(1)
-    step = system._matcher.step
-    words, states = [b""], [b""]  # each word with its automaton state
+    move = system._matcher.move
+    words, states = [b""], [0]  # each word with its automaton state
     for stem, state in zip(words, states):  # the lists are their own queue
         for letter in range(len(system.alphabet)):
-            after, lhs = step(state, letter)
-            if lhs is not None:  # stem is irreducible: only a suffix can match
+            after = move(state, letter)
+            if after < 0:  # a redex; stem is irreducible, so only a suffix matches
                 continue
             if len(words) + 1 > cap:
                 return MoreThanCap(len(words) + 1)

@@ -11,7 +11,9 @@ explicit operation.
 Word values are immutable; every operation returns a new word.
 
 Text syntax, read by scan_word for every word reader in the package
-(presentation files, rewriting systems, .tz scripts, the command line)::
+(presentation files, rewriting systems, .tz scripts, the command line;
+rewriting.Alphabet.word_bytes sends each distinct term of a text through
+it once, and the whole text when that fails, so errors are the same)::
 
     word := "1" | term (ws term)*
     term := ident | ident "'" | ident "^" int

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from polygraph import presentations, tietze
-from polygraph.errors import ParseError, StepLimitExceeded
+from polygraph.errors import ParseError, StepLimitExceeded, UnknownGenerator
 from polygraph.model import (
     CancelLeft,
     CancelRight,
@@ -37,7 +37,7 @@ from polygraph.rewriting import (
     normalize_bytes,
     parse_system,
 )
-from polygraph.words import MAX_WORD_LETTERS, Letter, Word, format_word, parse_word
+from polygraph.words import MAX_WORD_LETTERS, Letter, Word, format_word, parse_word, scan_word
 
 # --------------------------------------------------------------- generators
 
@@ -631,3 +631,58 @@ def run_word_grammar_suite(seed: int = 0, cases: int = 300) -> int:
                 name, text, span,
             )
     return ran
+
+
+# ------------------------------------------------------------ text encoding
+
+# Terms for random word texts over the group encoding of _GRAMMAR_P: good
+# ones (repeated on purpose, so the reader meets a term twice), foreign
+# generators, spellings outside the grammar, and exponents big enough that
+# a few of them pass MAX_WORD_LETTERS together.
+_GOOD_TERMS = ["a", "b", "c1", "a'", "b'", "c1'", "a^3", "b^-2", "c1^0", "a^007", "b^-0"]
+_FOREIGN_TERMS = ["d", "zz'", "c^2", "A"]
+_BAD_TERMS = ["a'^2", "^2", "'", "a^+2", "a^", "1x", "a^-", "b^^2", "a^" + "9" * 9]
+_HUGE_TERMS = [
+    f"a^{MAX_WORD_LETTERS // 3}", f"b^-{MAX_WORD_LETTERS // 2}", f"c1^{MAX_WORD_LETTERS}"
+]
+
+
+def _random_text(rng: random.Random) -> str:
+    kind = rng.choice(["good", "good", "good", "one", "foreign", "bad", "huge"])
+    terms = [rng.choice(_GOOD_TERMS) for _ in range(rng.randint(0, 12))]
+    extra = {
+        "good": [],
+        "one": ["1"] * rng.randint(1, 2),
+        "foreign": [rng.choice(_FOREIGN_TERMS)],
+        "bad": [rng.choice(_BAD_TERMS)],
+        "huge": [rng.choice(_HUGE_TERMS) for _ in range(rng.randint(1, 4))],
+    }[kind]
+    for term in extra:
+        terms.insert(rng.randint(0, len(terms)), term)
+    if kind == "good" and not terms and rng.random() < 0.5:
+        terms = ["1"]
+    gaps = [rng.choice([" ", "  ", "\t"]) for _ in terms]
+    return rng.choice(["", " "]) + "".join(t + g for t, g in zip(terms, gaps))
+
+
+def _read_outcome(read, text: str):
+    """What reading ``text`` gives: the letters, or the error's type,
+    message and span."""
+    try:
+        return read(text)
+    except (ParseError, UnknownGenerator) as exc:
+        return type(exc), str(exc), getattr(exc, "span", None)
+
+
+def run_text_encoding_suite(seed: int = 0, cases: int = 1000) -> int:
+    """Alphabet.word_bytes on random word texts reads what reading the whole
+    text term by term (encode_runs of scan_word) reads: the same letters, or
+    an error of the same type with the same message and span."""
+    rng = random.Random(seed)
+    alphabet = encode(_GRAMMAR_P).alphabet
+    for _ in range(cases):
+        text = _random_text(rng)
+        got = _read_outcome(alphabet.word_bytes, text)
+        expected = _read_outcome(lambda t: alphabet.encode_runs(scan_word(t)), text)
+        assert got == expected, (text, got, expected)
+    return cases

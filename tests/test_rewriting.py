@@ -58,6 +58,15 @@ class TestAlphabet:
         with pytest.raises(UnknownGenerator):
             Alphabet(["a"]).index("b")
 
+    def test_byte_words_outside_the_alphabet_are_rejected(self, z5_system):
+        with pytest.raises(UnknownGenerator, match="letter index 9"):
+            Alphabet(["a", "a'"]).word_bytes(b"\x00\x09\x01")
+        with pytest.raises(UnknownGenerator):
+            normalize(z5_system, bytes([9]))
+        with pytest.raises(UnknownGenerator):
+            word_equal(z5_system, b"\x09", b"\x09\x00\x01")
+        assert word_equal(z5_system, b"\x01", b"\x00\x00\x00\x00")
+
 
 class TestRule:
     def test_must_decrease_shortlex(self):
@@ -462,6 +471,37 @@ class TestAutomaton:
             systems, seed=92, cases=50, reference=props.bucket_normalize
         )
         assert ran == 10000
+
+    def test_a_word_read_twice_fills_no_new_slot(self, monkeypatch):
+        # The second reading runs on the rows the first one filled.
+        system = complete(encode(dihedral(30, balanced=True))).system
+        word = system.word_bytes(" ".join(["r s r'"] * 400 + ["s r^3"] * 200))
+        index = system._matcher
+        first = index.normalize(word, 10**6)
+        rows = [list(row) for row in index.rows]
+        assert any(slot is not None and slot < 0 for row in rows for slot in row)
+        steps = []
+        step = rewriting._Matcher.step
+
+        def counting(matcher, state, letter):
+            steps.append((state, letter))
+            return step(matcher, state, letter)
+
+        monkeypatch.setattr(rewriting._Matcher, "step", counting)
+        assert index.normalize(word, 10**6) == first
+        assert steps == []
+        assert index.rows == rows
+
+    def test_a_new_right_side_is_read_at_once(self):
+        index = rewriting._Matcher([Rule(b"\x02\x02", b"\x00"), Rule(b"\x01\x01", b"")])
+        assert index.normalize(b"\x01\x02\x02\x01", 10) == b"\x01\x00\x01"
+        index.set_rhs(b"\x02\x02", b"\x01")
+        assert index.normalize(b"\x01\x02\x02\x01", 10) == b"\x01"
+
+    def test_a_row_grows_to_any_byte_letter(self):
+        index = rewriting._Matcher([Rule(b"\xff\xff", b"\x07")])
+        assert index.normalize(b"\x00\xff\x01\xff\xff", 10) == b"\x00\xff\x01\x07"
+        assert len(index.rows[0]) == 256
 
     def test_an_edited_index_answers_like_a_fresh_one(self):
         assert props.run_index_edit_suite(seed=93, cases=300) == 300

@@ -154,3 +154,7 @@ def test_free_reduction_properties():
 
 def test_every_word_reader_shares_one_grammar():
     assert props.run_word_grammar_suite(seed=71, cases=1000) == 1000
+
+
+def test_word_bytes_reads_text_like_the_term_by_term_reader():
+    assert props.run_text_encoding_suite(seed=72, cases=3000) == 3000

@@ -182,11 +182,17 @@ def bfs_equal(
 
     Moves: free cancellation of an adjacent inverse pair, free insertion of
     one, and replacement of one relation side by the other at any position.
-    The search starts at the free reduction of u and succeeds when the free
-    reduction of v appears.  ``Equal(k)`` reports the number of moves on the
-    shortest such chain; NotWithinRadius means only that no chain exists
-    within this radius and length cap, or that the search stopped at
-    MAX_SEARCH_LETTERS (its ``limit`` says which).
+    The search connects the free reductions of u and v.  ``Equal(k)``
+    reports the number of moves on the shortest such chain; NotWithinRadius
+    means only that no chain exists within this radius and length cap, or
+    that the search stopped at MAX_SEARCH_LETTERS (its ``limit`` says which).
+
+    Every move between words within the length cap can be undone, so the
+    search grows two balls, one around each end, a whole layer at a time,
+    always the one with fewer words on its edge (the one around u on a tie).
+    It stops when they meet or their radii add up to ``radius``; the letter
+    bound covers both.  Cancellation ignores the cap, so when an end is
+    longer than the cap the search grows one ball, from u, instead.
     """
     space = p if isinstance(p, SearchSpace) else SearchSpace(p)
     u, v = space._word(u), space._word(v)
@@ -195,12 +201,52 @@ def bfs_equal(
     if length_cap is None:
         length_cap = default_length_cap(len(u), len(v), radius)
     try:
+        if max(len(start), len(goal)) <= length_cap:
+            steps = _meet(space, start, goal, radius, length_cap)
+            return NotWithinRadius() if steps is None else Equal(steps)
         for state, depth in _search(space, start, radius, length_cap):
             if state == goal:
                 return Equal(depth)
     except SearchLimitExceeded:
         return NotWithinRadius("max_search_letters")
     return NotWithinRadius()
+
+
+def _meet(
+    space: SearchSpace, start: _State, goal: _State, radius: int, length_cap: int
+) -> int | None:
+    """The fewest moves from ``start`` to ``goal`` if at most ``radius``, by
+    growing a ball around each (see bfs_equal); None if the balls never meet.
+    Raises SearchLimitExceeded once the two hold more than
+    MAX_SEARCH_LETTERS letters."""
+    if start == goal:
+        return 0
+    balls = ({start}, {goal})
+    edges = [[start], [goal]]
+    letters = len(start) + len(goal)
+    radii = [0, 0]
+    while radii[0] + radii[1] < radius and edges[0] and edges[1]:
+        side = 1 if len(edges[1]) < len(edges[0]) else 0
+        ball, other = balls[side], balls[1 - side]
+        radii[side] += 1
+        edge: list[_State] = []
+        for state in edges[side]:
+            for child, _ in space.moves(state, length_cap):
+                if child in ball:
+                    continue
+                if child in other:
+                    # The balls were apart, so every chain is longer than
+                    # their radii before this layer: this one is shortest.
+                    return radii[0] + radii[1]
+                letters += len(child)
+                if letters > MAX_SEARCH_LETTERS:
+                    raise SearchLimitExceeded(
+                        f"the words searched hold more than {MAX_SEARCH_LETTERS} letters"
+                    )
+                ball.add(child)
+                edge.append(child)
+        edges[side] = edge
+    return None
 
 
 def _search(

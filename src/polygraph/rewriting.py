@@ -48,7 +48,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .model import Polygraph
-from .words import _SPACED_RE, MAX_WORD_LETTERS, Word, scan_word
+from .words import MAX_WORD_LETTERS, Word, scan_word
 
 __all__ = [
     "Alphabet",
@@ -139,7 +139,7 @@ class Alphabet:
         Any failure (a bad term, ``1`` beside other terms, an unknown letter,
         more than MAX_WORD_LETTERS letters) reads the whole text again term
         by term, so the error is the one that reading raises, at its term."""
-        tokens = _SPACED_RE.findall(text)
+        tokens = text.split()
         try:
             terms = {token: self.encode_runs(scan_word(token)) for token in set(tokens)}
         except (ParseError, UnknownGenerator):
@@ -420,12 +420,23 @@ class _Matcher:
         hits.sort()
         return hits
 
-    def overlaps(self, lhs: bytes) -> list[bytes]:
-        """The other live left sides that overlap ``lhs``, in rule order: the
-        only rules that can form a critical pair with it when no left side
-        lies in another."""
-        hits = self.overlap_hits(lhs)
-        return list(dict.fromkeys(other for *_, other in hits if other != lhs))
+    def read(self, word: bytes, state: int = 0) -> int:
+        """Read ``word`` from state number ``state`` along the rows, as
+        normalize() does: the number of the state after it, or, negative,
+        the slot of the first letter that ends a left side.  Negative from
+        the start state exactly when a live left side occurs in ``word``."""
+        rows = self.rows
+        for letter in word:
+            try:
+                move = rows[state][letter]
+            except IndexError:
+                move = None
+            if move is None:
+                move = self.move(state, letter)
+            if move < 0:
+                return move
+            state = move
+        return state
 
     def normalize(self, word: bytes, max_steps: int) -> bytes:
         """Read letters onto an irreducible stack, with the state after each
@@ -496,9 +507,40 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     Two shapes exist: a proper suffix of one lhs equal to a proper prefix of
     another (including a rule with itself), and one lhs contained in
     another.  The descendants are single rewrites of the peak, one per rule.
+    Composite pairs, which verify_convergent() skips, are listed too.
     """
-    rules = [(rule.lhs, rule.rhs) for rule in system.rules]
-    return [CriticalPair(*p) for r1 in rules for r2 in rules for p in _pairs_between(r1, r2)]
+    return [CriticalPair(*pair) for _, *pair in _critical_pairs(system)]
+
+
+def _critical_pairs(system: RewritingSystem):
+    """(composite, peak, left, right) of each critical pair, rule by rule:
+    the overlaps with the rule's left side in front, read off the rule
+    index, then the left sides inside it.  ``composite`` marks an overlap
+    whose peak without its first and last letter contains a left side; a
+    left side inside another is never composite."""
+    index, rules = system._matcher, [(rule.lhs, rule.rhs) for rule in system.rules]
+    sides: dict[bytes, list[bytes]] = {}
+    for lhs, rhs in rules:
+        sides.setdefault(lhs, []).append(rhs)
+    for n, (l1, r1) in enumerate(rules):
+        # The inner word of every peak with l1 in front starts with l1[1:].
+        front = index.read(l1[1:])
+        for _, behind, t, l2 in index.overlap_hits(l1):
+            if not behind:
+                tail = l2[t:]
+                composite = front < 0 or index.read(tail[:-1], front) < 0
+                for r2 in sides[l2]:
+                    yield composite, l1 + tail, r1 + tail, l1[:-t] + r2
+        # Another left side lies in l1 only if it repeats l1 or lies in l1
+        # without its first or last letter: never, in an inter-reduced system.
+        if len(sides[l1]) > 1 or front < 0 or index.read(l1[:-1]) < 0:
+            for m, (l2, r2) in enumerate(rules):
+                if m == n or (len(l2) >= len(l1) and l2 != l1):
+                    continue
+                k = l1.find(l2)
+                while k != -1:
+                    yield False, l1, r1, l1[:k] + r2 + l1[k + len(l2):]
+                    k = l1.find(l2, k + 1)
 
 
 # ----------------------------------------------------------------- completion
@@ -528,8 +570,12 @@ def complete(
     rule starts out as an equation.  When a popped equation still has two
     distinct normal forms it becomes a new rule; existing rules whose left
     side the new rule rewrites are retired back into the queue, and right
-    sides are kept fully normalized.  An empty queue means every critical
-    pair joins; the result is then re-verified and stamped "proven".
+    sides are kept fully normalized.  A popped critical pair that is
+    composite by the live rules is skipped, as only prime pairs need to join
+    (Kapur, Musser and Narendran 1988; see verify_convergent); input and
+    retired rules, queued with their left side as the peak, never are.  An
+    empty queue means every prime critical pair joins; the result is then
+    re-verified and stamped "proven".
 
     The limits bound, in order: live rules, the left-side length of any new
     rule, and the number of equations processed; ``max_steps`` also bounds
@@ -557,7 +603,9 @@ def complete(
             steps += 1
             if steps > max_steps:
                 return GaveUp(snapshot(), "max_steps")
-            _, _, _, u, v = heappop(queue)
+            _, peak, _, u, v = heappop(queue)
+            if u != peak and index.read(peak[1:-1]) < 0:
+                continue
             u, v = index.normalize(u, max_steps), index.normalize(v, max_steps)
             if u == v:
                 continue
@@ -611,21 +659,6 @@ def _containing(part: bytes, items, words) -> list:
     return [item for item, word in zip(items, words) if part in word]
 
 
-def _pairs_between(r1: tuple[bytes, bytes], r2: tuple[bytes, bytes]):
-    """(peak, left, right) of each critical pair of two (lhs, rhs) rules with
-    r1 rewriting the front of the peak; ``r1 is r2`` pairs a rule with itself."""
-    (l1, rhs1), (l2, rhs2) = r1, r2
-    for t in range(1, min(len(l1), len(l2))):
-        if l1[len(l1) - t:] == l2[:t]:
-            tail = l2[t:]
-            yield l1 + tail, rhs1 + tail, l1[: len(l1) - t] + rhs2
-    if r1 is not r2 and (len(l2) < len(l1) or l1 == l2):
-        k = l1.find(l2)
-        while k != -1:
-            yield l1, rhs1, l1[:k] + rhs2 + l1[k + len(l2):]
-            k = l1.find(l2, k + 1)
-
-
 # ----------------------------------------------------------------- verification
 
 
@@ -644,18 +677,24 @@ class Refuted:
 
 
 def verify_convergent(system: RewritingSystem) -> Proven | Refuted:
-    """Exhaustively join every critical pair; any failure is a witness.
+    """Join every prime critical pair; any failure is a witness.
 
-    A system passing this check has unique normal forms (all rules decrease
-    shortlex, so rewriting terminates; joinable critical pairs give local
-    confluence, and Newman's lemma does the rest).
+    An overlap is composite, and skipped, when a left side lies in its peak
+    without the peak's first and last letter; a left side inside another is
+    always checked.  Every rule decreases shortlex, so rewriting terminates,
+    and a terminating system is confluent exactly when its prime critical
+    pairs join (Kapur, Musser and Narendran, "Only prime superpositions need
+    be considered in the Knuth-Bendix completion procedure", J. Symbolic
+    Computation 6, 1988; Sims 1994, ch. 2): passing means unique normal forms.
     """
     matcher = system._matcher
-    for pair in critical_pairs(system):
-        left = matcher.normalize(pair.left, DEFAULT_MAX_STEPS)
-        right = matcher.normalize(pair.right, DEFAULT_MAX_STEPS)
+    for composite, peak, left, right in _critical_pairs(system):
+        if composite:
+            continue
+        left = matcher.normalize(left, DEFAULT_MAX_STEPS)
+        right = matcher.normalize(right, DEFAULT_MAX_STEPS)
         if left != right:
-            return Refuted(*(system.word_text(w) for w in (pair.peak, left, right)))
+            return Refuted(*(system.word_text(w) for w in (peak, left, right)))
     return Proven()
 
 
@@ -663,10 +702,10 @@ def certify(system: RewritingSystem) -> RewritingSystem:
     """Verify convergence of a hand-built system; return a proven copy.
 
     Systems assembled directly (or read back via parse_system) start out
-    with convergent="unknown", which blocks normal-form queries.  This runs
-    the full critical-pair check and either returns a new system with the
-    same rules, marked proven, or raises NotConvergent carrying the
-    refutation witness.  The argument itself is left as it was.
+    with convergent="unknown", which blocks normal-form queries.  This joins
+    every prime critical pair (see verify_convergent) and either returns a
+    new system with the same rules, marked proven, or raises NotConvergent
+    carrying the refutation witness.  The argument itself is left as it was.
     """
     proven = RewritingSystem(system.alphabet, system.rules)
     check = verify_convergent(proven)

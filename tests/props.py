@@ -11,6 +11,7 @@ from the hand-picked examples.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from polygraph import presentations, tietze
 from polygraph.errors import ParseError, StepLimitExceeded, UnknownGenerator
@@ -29,13 +30,18 @@ from polygraph.model import (
 from polygraph.rewriting import (
     Alphabet,
     Converged,
+    Proven,
+    Refuted,
     Rule,
     RewritingSystem,
     _Matcher,
     complete,
+    critical_pairs,
     encode,
+    format_system,
     normalize_bytes,
     parse_system,
+    verify_convergent,
 )
 from polygraph.words import MAX_WORD_LETTERS, Letter, Word, format_word, parse_word, scan_word
 
@@ -444,6 +450,36 @@ def random_rule_systems(seed: int, count: int) -> list[RewritingSystem]:
     return systems
 
 
+def padded_convergent_systems(seed: int, count: int) -> list[RewritingSystem]:
+    """Completed systems with up to four extra rules, each inserted at a
+    random place: w -> x for a reducible word w and a smaller word x with
+    w's normal form, x that normal form or w after one rewrite.  The extra
+    left sides contain old ones or repeat them; every extra rule joins and
+    no normal form becomes reducible, so each system is still convergent."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        base = rng.choice(_nf_systems())
+        rules = list(base.rules)
+        n = len(base.alphabet)
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                w = rng.choice(base.rules).lhs
+            else:
+                w = bytes(rng.randrange(n) for _ in range(rng.randint(1, 7)))
+            nf = normalize_bytes(base, w)
+            if nf == w:
+                continue
+            x = nf
+            if rng.random() < 0.5:
+                rule = next(r for r in base.rules if r.lhs in w)
+                k = w.find(rule.lhs)
+                x = w[:k] + rule.rhs + w[k + len(rule.lhs):]
+            rules.insert(rng.randint(0, len(rules)), Rule(w, x))
+        systems.append(RewritingSystem(base.alphabet, rules))
+    return systems
+
+
 def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
     """An index driven through random add() and retire() calls, normalizing
     words between them so its memo fills, answers like a fresh _Matcher
@@ -477,7 +513,9 @@ def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
                 if lhs is not None:
                     break
         for lhs in index.rules:
-            assert index.overlaps(lhs) == fresh.overlaps(lhs)
+            # Ranks count every add, so only their order is compared.
+            hits = [hit[1:] for hit in index.overlap_hits(lhs)]
+            assert hits == [hit[1:] for hit in fresh.overlap_hits(lhs)]
         ran += 1
     return ran
 
@@ -518,6 +556,75 @@ def run_reference_strategy_suite(
                     raise AssertionError(f"{w!r} normalized in fewer than {steps} steps")
             ran += 1
     return ran
+
+
+# ------------------------------------------------------------ critical pairs
+
+
+def _overlap_pairs(r1: tuple[bytes, bytes], r2: tuple[bytes, bytes]):
+    """(peak, left, right) of each overlap of two (lhs, rhs) rules, r1
+    rewriting the front of the peak; a rule overlaps itself too."""
+    (l1, rhs1), (l2, rhs2) = r1, r2
+    for t in range(1, min(len(l1), len(l2))):
+        if l1[len(l1) - t:] == l2[:t]:
+            tail = l2[t:]
+            yield l1 + tail, rhs1 + tail, l1[: len(l1) - t] + rhs2
+
+
+def _containment_pairs(r1: tuple[bytes, bytes], r2: tuple[bytes, bytes]):
+    """(peak, left, right) of each place where the left side of r2, another
+    rule, lies inside that of r1 (or equals it)."""
+    (l1, rhs1), (l2, rhs2) = r1, r2
+    if len(l2) < len(l1) or l1 == l2:
+        k = l1.find(l2)
+        while k != -1:
+            yield l1, rhs1, l1[:k] + rhs2 + l1[k + len(l2):]
+            k = l1.find(l2, k + 1)
+
+
+def reference_critical_pairs(system: RewritingSystem) -> tuple[list, list]:
+    """Every critical pair by pairing each rule with each rule: the overlaps
+    and the left sides inside others, as two lists of (peak, left, right)."""
+    rules = [(rule.lhs, rule.rhs) for rule in system.rules]
+    overlaps = [p for r1 in rules for r2 in rules for p in _overlap_pairs(r1, r2)]
+    inside = [
+        p for r1 in rules for r2 in rules if r1 is not r2 for p in _containment_pairs(r1, r2)
+    ]
+    return overlaps, inside
+
+
+def run_prime_pair_suite(systems: list[RewritingSystem]) -> tuple[int, int]:
+    """On each system: critical_pairs() lists the reference's pairs as a
+    multiset; verify_convergent() is Proven exactly when every reference pair
+    joins; and a Refuted peak is a reference pair that is prime (a left side
+    inside another, or an overlap whose peak has no left side between its
+    first and last letter) and reaches two distinct irreducible words.
+    Returns how many systems were proven and how many refuted."""
+    verdicts = Counter()
+    for system in systems:
+        overlaps, inside = reference_critical_pairs(system)
+        listed = [(p.peak, p.left, p.right) for p in critical_pairs(system)]
+        assert Counter(listed) == Counter(overlaps + inside), format_system(system)
+
+        def nf(word):
+            return normalize_bytes(system, word)
+
+        joins = all(nf(left) == nf(right) for _, left, right in overlaps + inside)
+        check = verify_convergent(system)
+        assert isinstance(check, Proven if joins else Refuted), format_system(system)
+        verdicts[type(check)] += 1
+        if joins:
+            continue
+        peak, left, right = map(system.word_bytes, (check.peak, check.left, check.right))
+        sides = {rule.lhs for rule in system.rules}
+        assert left != right
+        assert not any(lhs in word for lhs in sides for word in (left, right))
+        prime = [(l, r) for p, l, r in inside if p == peak] + [
+            (l, r) for p, l, r in overlaps
+            if p == peak and not any(lhs in peak[1:-1] for lhs in sides)
+        ]
+        assert (left, right) in [(nf(l), nf(r)) for l, r in prime], format_system(system)
+    return verdicts[Proven], verdicts[Refuted]
 
 
 # ------------------------------------------------------------ word grammar

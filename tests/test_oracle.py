@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -38,7 +39,21 @@ from polygraph.rewriting import (
     normalize_bytes,
     word_equal,
 )
-from polygraph.words import Letter, Word
+from polygraph.words import Letter, Word, format_word
+
+def _one_ball(space, u, v, radius):
+    """bfs_equal grown from u alone, as _search reaches words."""
+    u, v = space._word(u), space._word(v)
+    goal = space.encode(v.reduce())
+    length_cap = default_length_cap(len(u), len(v), radius)
+    try:
+        for state, depth in oracle._search(space, space.encode(u.reduce()), radius, length_cap):
+            if state == goal:
+                return Equal(depth)
+    except SearchLimitExceeded:
+        return NotWithinRadius("max_search_letters")
+    return NotWithinRadius()
+
 
 TYPED = """polygraph
 cells: x y
@@ -158,6 +173,54 @@ class TestBfs:
                 found = bfs_equal(space, u, v, 4, length_cap=12)
                 assert found == NotWithinRadius()
         assert confirmed >= 25
+
+    def test_two_balls_answer_like_one(self):
+        # Against a search from u alone (_search), on seeded pairs: v a
+        # random word, or u after a few moves.
+        rng = random.Random(17)
+        steps = set()
+        for name in ("z5", "d5", "q8", "b3"):
+            space = SearchSpace(load(f"{name}.plg"))
+            letters = [str(letter) for letter in space._letters.values()]
+
+            def sample():
+                return " ".join(rng.choice(letters) for _ in range(rng.randint(0, 2))) or "1"
+
+            for _ in range(130):
+                radius = rng.randint(2, 4)
+                u = sample()
+                if rng.random() < 0.5:
+                    v = sample()
+                else:
+                    state = space.encode(space._word(u).reduce())
+                    for _ in range(rng.randint(1, radius + 1)):
+                        state = rng.choice(space.neighbors(state, 10))
+                    v = format_word(space.decode(state)) if state else "1"
+                found = bfs_equal(space, u, v, radius)
+                assert found == _one_ball(space, u, v, radius), (name, u, v, radius)
+                if isinstance(found, Equal):
+                    steps.add(found.steps)
+        assert {0, 1, 2, 3} <= steps
+
+    def test_an_unequal_search_holds_two_small_balls(self, b3):
+        # From u alone the radius-4 ball holds about 7 MB; two radius-2
+        # balls hold under 0.1 MB.
+        space = SearchSpace(b3)
+        tracemalloc.start()
+        try:
+            found = bfs_equal(space, "a b a b' a' b", "b a b a' b a", 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == NotWithinRadius()
+        assert peak < 2 * 2**20
+
+    def test_an_end_beyond_the_cap_is_searched_from_u(self, z5):
+        # a^5 -> 1 leaves the cap behind, but 1 -> a^5 would pass it: grown
+        # from u = 1 alone the search never reaches a^5, where a ball grown
+        # from a^5 would meet 1 at once.
+        assert bfs_equal(z5, "1", "a^5", 2, length_cap=4) == NotWithinRadius()
+        assert bfs_equal(z5, "a^5", "1", 2, length_cap=4) == Equal(1)
 
     def test_provably_equal_words_are_connected_within_twelve_moves(
         self, d5, d5_system

@@ -297,6 +297,41 @@ class TestVerifyConvergent:
         with pytest.raises(NotConvergent):
             certify(bad)
 
+    def test_prime_pairs_decide_like_all_pairs(self):
+        # Random hand-built systems, with left sides inside others and
+        # repeated, and convergent ones padded with such rules.
+        systems = props.random_rule_systems(seed=94, count=300)
+        proven, refuted = props.run_prime_pair_suite(systems)
+        assert proven >= 40 and refuted >= 200
+        padded = props.padded_convergent_systems(seed=95, count=100)
+        assert props.run_prime_pair_suite(padded) == (100, 0)
+
+    @pytest.mark.parametrize(
+        "text, pairs, composite",
+        [
+            ("< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >", 184, 110),  # A5
+            ("< r, s | r^27 = r^-27, s = s', r s = s' r' >", 963, 781),  # D54, balanced
+        ],
+        ids=["A5", "D54-balanced"],
+    )
+    def test_only_prime_pairs_are_joined(self, monkeypatch, text, pairs, composite):
+        system = complete(encode(presentations.parse(text))).system
+        overlaps, inside = props.reference_critical_pairs(system)
+        sides = [rule.lhs for rule in system.rules]
+        assert (len(overlaps), inside) == (pairs, [])
+        assert sum(any(lhs in peak[1:-1] for lhs in sides) for peak, _, _ in overlaps) == composite
+        assert len(critical_pairs(system)) == pairs
+        normalized = []
+        normalize = rewriting._Matcher.normalize
+
+        def counting(index, word, max_steps):
+            normalized.append(word)
+            return normalize(index, word, max_steps)
+
+        monkeypatch.setattr(rewriting._Matcher, "normalize", counting)
+        assert isinstance(verify_convergent(system), Proven)
+        assert len(normalized) == 2 * (pairs - composite)
+
     def test_critical_pairs_cover_overlaps_and_inclusions(self):
         system = parse_system("order: a < b\nb b -> a\nb b b -> a a\n")
         pairs = list(critical_pairs(system))
@@ -393,8 +428,10 @@ def dihedral(n: int, balanced: bool):
 
 
 # SHA-1 of format_system for each completion, with its outcome, as the
-# last-letter-bucket index produced them: the automaton and the overlap
-# finder must leave every rule set, and the order of its rules, unchanged.
+# last-letter-bucket index produced them (D200-balanced as the automaton
+# that joined every critical pair did): the automaton, the overlap finder
+# and the skipping of composite critical pairs must leave every rule set,
+# and the order of its rules, unchanged.
 COMPLETION_DIGESTS = [
     ("b3-20", lambda: complete(encode(load("b3.plg")), max_rules=20),
      "max_rules", "1c9afe3930af73616ba2aab7feaad4264974cfb6"),
@@ -416,6 +453,9 @@ COMPLETION_DIGESTS = [
      None, "c55f5708662bfa6d6ff4f6f5d59170a74b0b997a"),
     ("D50-balanced", lambda: complete(encode(dihedral(50, True))),
      None, "dec0e4f2b93e69c17256aba9eee9b7e5d3e0afbb"),
+    # Order 400: most critical pairs queued here are composite.
+    ("D200-balanced", lambda: complete(encode(dihedral(200, True)), max_lhs_len=200),
+     None, "9924e22a0fe29f8ab208f46bb559f50043e9afe5"),
     ("d5", lambda: complete(encode(load("d5.plg"))),
      None, "cce7d2adb443be5aaf9f9427bcc63399a9a5e1aa"),
     ("q8", lambda: complete(encode(load("q8.plg"))),
@@ -437,17 +477,41 @@ class TestAutomaton:
         assert hashlib.sha1(format_system(out.system).encode()).hexdigest() == digest
 
     def test_a_new_rule_is_paired_only_with_the_rules_it_overlaps(self, monkeypatch):
-        calls = []
-        pairs_between = rewriting._pairs_between
+        # complete() asks the rule index once for each new rule's overlaps
+        # and queues one critical pair per overlap it returns: 4,728 pairs
+        # here, where pairing each new rule with every live rule would
+        # examine 17,287 pairs of rules.
+        added, asked, pushed = [], [], []
+        matcher = rewriting._Matcher
+        add, overlap_hits, heappush = matcher.add, matcher.overlap_hits, rewriting.heappush
 
-        def counting(r1, r2):
-            calls.append((r1, r2))
-            return pairs_between(r1, r2)
+        def adding(index, lhs, rhs):
+            added.append(lhs)
+            add(index, lhs, rhs)
 
-        monkeypatch.setattr(rewriting, "_pairs_between", counting)
-        out = complete(encode(load("b3.plg")), max_rules=128)
-        assert isinstance(out, GaveUp)
-        assert len(calls) < 8000  # 17,287 when paired with every live rule
+        def asking(index, lhs):
+            hits = overlap_hits(index, lhs)
+            asked.append((lhs, len(hits)))
+            return hits
+
+        def pushing(queue, entry):
+            pushed.append(entry)
+            heappush(queue, entry)
+
+        monkeypatch.setattr(matcher, "add", adding)
+        monkeypatch.setattr(matcher, "overlap_hits", asking)
+        monkeypatch.setattr(rewriting, "heappush", pushing)
+        system = encode(load("b3.plg"))
+        out = complete(system, max_rules=128)
+        assert isinstance(out, GaveUp) and out.reason == "max_rules"
+        # The rule that passes the limit is never paired.
+        assert [lhs for lhs, _ in asked] == added[:-1]
+        pairs = sum(hits for _, hits in asked)
+        # Input and retired rules are queued with their left side as peak.
+        equations = [entry for entry in pushed if entry[1] == entry[3]]
+        assert len(pushed) == len(equations) + pairs
+        assert len(equations) == len(system.rules) + len(added) - len(out.system.rules)
+        assert pairs < 8000
 
     def test_critical_pairs_are_queued_in_the_sweep_order(self, monkeypatch):
         # Every queue entry (peak length, peak, serial, both sides), in push

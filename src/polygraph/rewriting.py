@@ -17,11 +17,12 @@ public functions speak word text (``a b' a^2``) or Word values.
 
 Queries and complete() run on a rule index, an automaton over the left
 sides (see _Matcher) with numbered states, whose transitions and redexes
-fill one list row per state as they are first needed; adding or retiring
-a rule drops the rows.  normalize() reads a letter with one list lookup
-and rewrites the redex that ends first.  In the inter-reduced systems
-complete() builds that is the leftmost redex; a hand-built system may
-differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to ``a y c``, not ``x``.
+fill one list row per state as they are first needed; adding a rule
+empties only the slots it can change, and retiring one drops the rows.
+normalize() reads a letter with one list lookup and rewrites the redex
+that ends first.  In the inter-reduced systems complete() builds that is
+the leftmost redex; a hand-built system may differ: ``a b c -> x``,
+``b -> y`` take ``a b c`` to ``a y c``, not ``x``.
 
 The text serialization of a system is one rule per line after an order
 header, and parses back with parse_system()::
@@ -34,6 +35,7 @@ header, and parses back with parse_system()::
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
@@ -313,9 +315,13 @@ class _Matcher:
     has one slot per letter for state i: None until step() fills it, then
     the next state's number, or ``~k`` when the letter completes a redex,
     where ``actions[k]`` is (letters of the left side before the letter,
-    right side reversed).  add() and retire() drop the rows and actions,
-    because a new or retired left side changes the states and redexes; a
-    new right side for a live left side changes only its action (set_rhs).
+    right side reversed).  A new left side keeps every state and its
+    number, and takes the highest rank, so a redex slot stays as it is;
+    add() empties exactly the slots (s, a) where s + a ends with the new
+    left side or with one of its prefixes that was no state before.  The
+    numbered states that end with a word are one run of ``tails``, their
+    reversed words kept sorted.  retire() drops the rows and actions; a new
+    right side for a live left side changes only its action (set_rhs).
     """
 
     def __init__(self, rules):
@@ -332,17 +338,30 @@ class _Matcher:
     def _clear(self) -> None:
         self.ids: dict[bytes, int] = {b"": 0}
         self.states: list[bytes] = [b""]
+        self.tails: list[tuple[bytes, int]] = [(b"", 0)]  # (state reversed, number), sorted
         self.rows: list[list[int | None]] = [[]]
         self.actions: list[tuple[int, bytes]] = []
         self.action_of: dict[bytes, int] = {}  # left side -> ~k
 
     def add(self, lhs: bytes, rhs: bytes) -> None:
+        # A slot (s, a) changes only if s + a ends with lhs or with a prefix
+        # of lhs longer than ``old`` letters, the longest that is a state.
+        old, tails = len(lhs), self.tails
+        while old and lhs[:old] not in self.prefixes:
+            old -= 1
+        for k in range(min(old, len(lhs) - 1), len(lhs)):
+            tail = lhs[:k][::-1]  # the states that end with lhs[:k]: one run of tails
+            i = bisect_left(tails, (tail,))
+            while i < len(tails) and tails[i][0].startswith(tail):
+                row = self.rows[tails[i][1]]
+                if lhs[k] < len(row):
+                    row[lhs[k]] = None
+                i += 1
         self.rules[lhs] = rhs
         self.rank[lhs] = self.added
         self.added += 1
         for table, part in self._parts(lhs):
             table.setdefault(part, []).append(lhs)
-        self._clear()
 
     def retire(self, lhs: bytes) -> None:
         del self.rules[lhs], self.rank[lhs]
@@ -391,6 +410,7 @@ class _Matcher:
         """The number of ``state``, with an empty row if it is new."""
         if state not in self.ids:
             self.ids[state] = len(self.states)
+            insort(self.tails, (state[::-1], len(self.states)))
             self.states.append(state)
             self.rows.append([])
         return self.ids[state]
@@ -741,6 +761,14 @@ def enumerate_normal_forms(
     breadth-first; it ends when no word is left to extend.  Needs a
     proven-convergent system (then the words are exactly the distinct
     presented elements), else raises NotConvergent.
+
+    An irreducible word never reaches a state of the rule index that is a
+    left side, so it passes through at most n states, n - 1 prefixes of
+    left sides plus the start.  A word of n letters repeats a state and so
+    lies on a loop that pumps into infinitely many irreducible words
+    (Epstein et al., *Word Processing in Groups*, 1992, ch. 2): the first
+    one found returns ``MoreThanCap(cap + 1)`` at once, as listing up to the
+    cap would.
     """
     words = _normal_form_bytes(system, cap)
     if isinstance(words, MoreThanCap):
@@ -754,15 +782,19 @@ def _normal_form_bytes(system: RewritingSystem, cap: int) -> list[bytes] | MoreT
         raise NotConvergent("normal forms require a proven-convergent system")
     if cap < 1:
         return MoreThanCap(1)
-    move = system._matcher.move
+    index = system._matcher
+    move = index.move
+    # The states an irreducible word can pass through: prefixes of left
+    # sides that are not left sides, and the start state.
+    bound = len(index.prefixes) - len(index.rules) + 1
     words, states = [b""], [0]  # each word with its automaton state
     for stem, state in zip(words, states):  # the lists are their own queue
         for letter in range(len(system.alphabet)):
             after = move(state, letter)
             if after < 0:  # a redex; stem is irreducible, so only a suffix matches
                 continue
-            if len(words) + 1 > cap:
-                return MoreThanCap(len(words) + 1)
+            if len(words) >= cap or len(stem) + 1 >= bound:
+                return MoreThanCap(cap + 1)
             words.append(stem + bytes((letter,)))
             states.append(after)
     return words

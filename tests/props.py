@@ -30,6 +30,8 @@ from polygraph.model import (
 from polygraph.rewriting import (
     Alphabet,
     Converged,
+    Finite,
+    MoreThanCap,
     Proven,
     Refuted,
     Rule,
@@ -481,22 +483,26 @@ def padded_convergent_systems(seed: int, count: int) -> list[RewritingSystem]:
 
 
 def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
-    """An index driven through random add() and retire() calls, normalizing
-    words between them so its memo fills, answers like a fresh _Matcher
-    built from its final rules: the same normal forms and step counts, the
-    same irreducible one-letter extensions, and the same overlaps."""
+    """An index driven through batches of random add() and retire() calls,
+    normalizing words between them so its memo fills, answers like a fresh
+    _Matcher built from its final rules: the same normal forms and step
+    counts, the same irreducible one-letter extensions, and the same
+    overlaps.  After each batch every filled slot holds what a fresh
+    _Matcher with the rules of that moment computes (see _check_slots)."""
     rng = random.Random(seed)
     ran = 0
     for _ in range(cases):
         letters = rng.randint(2, 4)
         index = _Matcher(())
         for _ in range(rng.randint(1, 30)):
-            if index.rules and rng.random() < 0.4:
-                index.retire(rng.choice(list(index.rules)))
-            else:
-                for rule in random_rules(rng, letters, 1):
-                    if rule.lhs not in index.rules:
-                        index.add(rule.lhs, rule.rhs)
+            for _ in range(rng.randint(1, 3)):
+                if index.rules and rng.random() < 0.4:
+                    index.retire(rng.choice(list(index.rules)))
+                else:
+                    for rule in random_rules(rng, letters, 1):
+                        if rule.lhs not in index.rules:
+                            index.add(rule.lhs, rule.rhs)
+            _check_slots(index)
             for _ in range(3):
                 word = bytes(rng.randrange(letters) for _ in range(rng.randint(0, 12)))
                 index.normalize(word, 10**6)
@@ -518,6 +524,41 @@ def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
             assert hits == [hit[1:] for hit in fresh.overlap_hits(lhs)]
         ran += 1
     return ran
+
+
+def _check_slots(index: _Matcher) -> None:
+    """Every filled slot of every numbered state of ``index`` equals what a
+    fresh _Matcher with the same rules computes for that state's word and
+    letter: the same next state's word, or for a redex the same cut and
+    right side."""
+    fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()])
+    for number, row in enumerate(index.rows):
+        for letter, slot in enumerate(row):
+            if slot is None:
+                continue
+            word, lhs = fresh.step(index.states[number], letter)
+            if slot >= 0:
+                assert lhs is None and index.states[slot] == word, (number, letter)
+            else:
+                assert lhs is not None, (number, letter)
+                assert index.actions[~slot] == (len(lhs) - 1, fresh.rules[lhs][::-1])
+
+
+def reference_normal_forms(system: RewritingSystem, cap: int) -> Finite | MoreThanCap:
+    """enumerate_normal_forms without the automaton and without its loop
+    bound: the words that no left side ends, breadth-first in shortlex
+    order, stopped only by the cap (``cap`` >= 1)."""
+    sides = [rule.lhs for rule in system.rules]
+    words = [b""]
+    for stem in words:
+        for letter in range(len(system.alphabet)):
+            word = stem + bytes((letter,))
+            if any(word.endswith(lhs) for lhs in sides):
+                continue
+            if len(words) >= cap:
+                return MoreThanCap(len(words) + 1)
+            words.append(word)
+    return Finite([system.word_text(word) for word in words])
 
 
 def _steps_and_normal_form(index: _Matcher, word: bytes) -> tuple[int, bytes]:

@@ -340,6 +340,18 @@ class TestVerifyConvergent:
         assert "b b b" in peaks
 
 
+# Converged infinite systems: Z x Z with its inverses named and placed
+# between the generators, as perfbench spells it, the modular group, and a
+# free monoid (the braid monoid is a fixture).
+INFINITE = {
+    "ZxZ": lambda: complete(
+        encode(presentations.parse("< a, A, b, B | A = a', B = b', a b = b a >"))
+    ).system,
+    "Z2*Z3": lambda: complete(encode(presentations.parse("< a, b | a^2 = 1, b^3 = 1 >"))).system,
+    "free": lambda: certify(RewritingSystem(Alphabet("ab"), [])),
+}
+
+
 class TestEnumerate:
     def test_z5_shortlex_order(self, z5_system):
         found = enumerate_normal_forms(z5_system)
@@ -360,6 +372,35 @@ class TestEnumerate:
         found = enumerate_normal_forms(q8_system, cap=8)
         assert isinstance(found, Finite)
         assert len(found.words) == 8
+
+    @pytest.mark.parametrize("cap", [1, 20, 10**4])
+    @pytest.mark.parametrize("name", ["ZxZ", "Z2*Z3", "b3-monoid", "free"])
+    def test_an_infinite_system_is_more_than_any_cap(self, name, cap, b3_monoid_system):
+        system = b3_monoid_system if name == "b3-monoid" else INFINITE[name]()
+        found = enumerate_normal_forms(system, cap)
+        assert found == MoreThanCap(cap + 1)
+        assert found == props.reference_normal_forms(system, cap)
+
+    def test_the_longest_normal_form_may_pass_every_state(self):
+        # a^4 -> 1: the word a a a passes through all four states.
+        system = certify(RewritingSystem(Alphabet("a"), [Rule(b"\0" * 4, b"")]))
+        assert enumerate_normal_forms(system) == Finite(["1", "a", "a a", "a a a"])
+
+    def test_a_word_as_long_as_the_state_count_ends_the_listing(self, monkeypatch):
+        # Z x Z has 12 rules and 5 states an irreducible word can pass
+        # through; listing every word of up to 4 letters proves the loop.
+        # Listing 10^4 words would take about 40,000 moves.
+        system = INFINITE["ZxZ"]()
+        moves = []
+        move = rewriting._Matcher.move
+
+        def counting(matcher, state, letter):
+            moves.append((state, letter))
+            return move(matcher, state, letter)
+
+        monkeypatch.setattr(rewriting._Matcher, "move", counting)
+        assert enumerate_normal_forms(system, 10**4) == MoreThanCap(10**4 + 1)
+        assert len(moves) <= 250
 
 
 class TestNormalize:
@@ -556,6 +597,28 @@ class TestAutomaton:
         assert steps == []
         assert index.rows == rows
 
+    @pytest.mark.parametrize(
+        "run, most",
+        [
+            # 19,079 steps when every add() dropped the rows.
+            (lambda: complete(encode(load("b3.plg")), max_rules=512), 6000),
+            # Order 108: 1,340 steps when every add() dropped the rows.
+            (lambda: complete(encode(dihedral(54, True))), 700),
+        ],
+        ids=["b3-512", "D54-balanced"],
+    )
+    def test_an_added_rule_keeps_the_filled_slots(self, monkeypatch, run, most):
+        steps = []
+        step = rewriting._Matcher.step
+
+        def counting(matcher, state, letter):
+            steps.append((state, letter))
+            return step(matcher, state, letter)
+
+        monkeypatch.setattr(rewriting._Matcher, "step", counting)
+        run()
+        assert len(steps) < most
+
     def test_a_new_right_side_is_read_at_once(self):
         index = rewriting._Matcher([Rule(b"\x02\x02", b"\x00"), Rule(b"\x01\x01", b"")])
         assert index.normalize(b"\x01\x02\x02\x01", 10) == b"\x01\x00\x01"
@@ -579,8 +642,10 @@ class TestAutomaton:
             ("< a, b, c | a^2 = 1, b^2 = 1, c^2 = 1,"
              " a b a = b a b, b c b = c b c, a c = c a >", 24),
             ("< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >", 60),
+            ("< r, s | r^30 = 1, s^2 = 1, r s r s = 1 >", 60),
+            ("< r, s | r^50 = r^-50, s = s', r s = s' r' >", 200),
         ],
-        ids=["z5", "d5", "q8", "S4", "A5"],
+        ids=["z5", "d5", "q8", "S4", "A5", "D30", "D100-balanced"],
     )
     def test_enumeration_lists_the_words_no_left_side_ends(self, text, order):
         system = complete(encode(presentations.parse(text))).system

@@ -8,10 +8,11 @@ generators and relations) keeps exports byte-stable and diffable.
 
 Homology of the complex comes from one spanning forest of the graph: its
 component count is H0, and each face's entries on the non-tree edges are
-its coordinates over the fundamental cycles, so H1 is a single Smith normal
-form of that cotree-by-face matrix.  For the presentations this package
-targets the complex has one connected component and trivial first homology,
-and the tests assert exactly that.
+its coordinates over the fundamental cycles, so H1 is a single sparse Smith
+normal form of that cotree-by-face matrix.  For the presentations this
+package targets the complex has one connected component and trivial first
+homology, every pivot of that elimination is a unit, and the tests assert
+exactly that.
 """
 
 from __future__ import annotations
@@ -249,8 +250,9 @@ def homology(c: CayleyComplex) -> HomologySummary:
     fundamental cycles of the non-tree edges of a spanning forest are a basis
     of ker(boundary_1), and a cycle's coordinates over that basis are its
     entries on the non-tree edges; so H1 = ker(boundary_1) / im(boundary_2)
-    is Z^(E - V + c) modulo the faces' non-tree entries, read off by Smith
-    normal form.  The Euler characteristic is the plain cell count V - E + F.
+    is Z^(E - V + c) modulo the faces' non-tree entries, read off by one
+    sparse Smith normal form.  The Euler characteristic is the plain cell
+    count V - E + F.
     """
     g = c.graph
     v, e, f = len(g.vertices), len(g.edges), len(c.faces)

@@ -5,14 +5,17 @@ invariants of finitely presented abelian groups built on them.  No kernel
 computation lives here: ``cayley.homology`` reads cycle coordinates off a
 spanning forest of the Cayley graph and hands this module only the relation
 matrix of H1.  All arithmetic uses Python's arbitrary-precision integers;
-matrices come in as dense lists of row lists.  Boundary matrices are sparse
-and nearly all their pivots are units, so those are eliminated sparsely in
-Markowitz order first (Dumas, Saunders and Villard, "On efficient sparse
-integer matrix Smith normal form computations", JSC 2001); a dense
-elimination finishes whatever is left.
+matrices come in as dense lists of row lists and are eliminated as sparse
+rows.  Boundary matrices are sparse and nearly all their pivots are units,
+so units go first, in Markowitz order (Dumas, Saunders and Villard, "On
+efficient sparse integer matrix Smith normal form computations", JSC 2001);
+the same elimination takes a smallest entry as its pivot when no unit is
+left.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .errors import InternalError
 
@@ -29,33 +32,41 @@ def smith_normal_form(a: Matrix) -> list[int]:
     """Invariant factors of an integer matrix: the positive nonzero diagonal
     d_1 | d_2 | ... of its Smith normal form, whose length is the rank.
 
-    Unit pivots go first and sparsely (``_eliminate_unit_pivots``); only the
-    residue without a ±1 entry reaches the dense elimination.  No transform
-    is tracked; nothing downstream needs one.
+    ``_pivots`` diagonalizes the matrix; diag(x, y) ~ diag(gcd, lcm) turns
+    the pivots above 1 into a divisibility chain.  No transform is tracked;
+    nothing downstream needs one.
     """
     n = len(a[0]) if a else 0
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
-    units, residue = _eliminate_unit_pivots(a)
-    diagonal = [1] * units + _dense_smith(residue)
-    # The elimination keeps each pivot dividing the trailing submatrix, so
-    # the chain property holds by construction; re-check to be safe.
+    pivots = _pivots(a)
+    chain = [d for d in pivots if d != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    diagonal = [1] * (len(pivots) - len(chain)) + chain
+    # The gcd/lcm sweep leaves each factor dividing the ones after it, so the
+    # chain property holds by construction; re-check to be safe.
     for x, y in zip(diagonal, diagonal[1:]):
         if y % x != 0:
             raise InternalError(f"invariant factors out of order: {diagonal}")
     return diagonal
 
 
-def _eliminate_unit_pivots(a: Matrix) -> tuple[int, Matrix]:
-    """Pivot on ±1 entries while any is left, least fill-in first.
+def _pivots(a: Matrix) -> list[int]:
+    """Magnitudes of the pivots of a sparse diagonalization of ``a``, which
+    is left untouched.
 
-    A pivot u = ±1 at (r, c) clears its row by the column operations
-    col_j -= a[r][j]·u·col_c.  Row r is then u·e_c, so row operations would
-    clear column c without touching any other entry: row r and column c drop
-    out and leave one invariant factor 1.  The step writes at most
-    (|column c| - 1)·(|row r| - 1) entries (the Markowitz count), and the
-    cheapest unit goes first.  Returns the number of pivots and the residue,
-    the rows and columns left with entries, as a dense matrix.
+    The pivot is a ±1 entry while any is left, least fill-in first: a step
+    writes at most (|column c| - 1)·(|row r| - 1) entries (the Markowitz
+    count), and the cheapest unit goes first.  With no unit left it is a
+    smallest-magnitude entry (``_smallest_entry``).  A pivot u at (r, c)
+    clears its row by the column operations col_j -= (a[r][j] // u)·col_c,
+    then its column by the row operations row_i -= (a[i][c] // u)·row_r.
+    If u divides them all, as a unit always does, row r and column c drop
+    out and leave the pivot |u|; otherwise a remainder smaller than |u|
+    is left, and the next pivot is smaller than |u|.
     """
     n = len(a[0]) if a else 0
     rows = [{j: x for j, x in enumerate(row) if x} for row in a]
@@ -81,7 +92,7 @@ def _eliminate_unit_pivots(a: Matrix) -> tuple[int, Matrix]:
     for j, col in enumerate(cols):
         recount(cols_by_count, j, 0, len(col))
 
-    def cheapest() -> tuple[int, int, int] | None:
+    def cheapest() -> tuple[int, int] | None:
         # Markowitz search: scan the rows and the columns with k entries for
         # increasing k.  Every entry not scanned by the end of round k sits in
         # a row and a column with more than k entries and so costs at least
@@ -102,22 +113,22 @@ def _eliminate_unit_pivots(a: Matrix) -> tuple[int, Matrix]:
                             best = (cost, i, j)
             if best is not None and best[0] <= k * k:
                 break
-        return best
+        return best and best[1:]
 
-    pivots = 0
-    while (best := cheapest()) is not None:
-        _, r, c = best
+    pivots = []
+    while (best := cheapest() or _smallest_entry(rows)) is not None:
+        r, c = best
         pivot_row = rows[r]
         u = pivot_row[c]
         pivot_col = {i: rows[i][c] for i in cols[c] if i != r}
-        row_counts = {i: len(rows[i]) for i in pivot_col}
+        row_counts = {i: len(rows[i]) for i in cols[c]}
         col_counts = {j: len(cols[j]) for j in pivot_row}
+        left = {c: u}  # row r after its column operations
         for j, x in pivot_row.items():
             if j == c:
                 continue
-            q = x * u
+            q = x // u
             col = cols[j]
-            col.discard(r)
             for i, y in pivot_col.items():
                 row = rows[i]
                 z = row.get(j, 0) - q * y
@@ -127,102 +138,38 @@ def _eliminate_unit_pivots(a: Matrix) -> tuple[int, Matrix]:
                 else:
                     del row[j]
                     col.discard(i)
-        for i in pivot_col:
-            del rows[i][c]
-        rows[r] = {}
-        cols[c] = set()
-        recount(rows_by_count, r, len(pivot_row), 0)
+            if x % u:
+                left[j] = x % u
+            else:
+                col.discard(r)
+        rows[r] = left
+        for i, y in pivot_col.items():
+            q = y // u
+            row = rows[i]
+            for j, x in left.items():
+                z = row.get(j, 0) - q * x
+                if z:
+                    row[j] = z
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        if len(left) == 1 and len(cols[c]) == 1:
+            rows[r] = {}
+            cols[c] = set()
+            pivots.append(abs(u))
         for i, old in row_counts.items():
             recount(rows_by_count, i, old, len(rows[i]))
         for j, old in col_counts.items():
             recount(cols_by_count, j, old, len(cols[j]))
-        pivots += 1
-    live_rows = [row for row in rows if row]
-    live_cols = sorted({j for row in live_rows for j in row})
-    return pivots, [[row.get(j, 0) for j in live_cols] for row in live_rows]
+    return pivots
 
 
-def _dense_smith(a: Matrix) -> list[int]:
-    """Invariant factors of a dense matrix, which is reduced in place.
-
-    Standard pivot-and-reduce elimination: the pivot shrinks strictly through
-    remainders, so the inner loops terminate; after a block is cleared, any
-    submatrix entry not divisible by the pivot is folded in and the block is
-    redone.
-    """
-    m = len(a)
-    n = len(a[0]) if a else 0
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        for row in a:
-            row[dst] += q * row[src]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-
-    def add_row(dst: int, src: int, q: int) -> None:
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # Smallest-magnitude nonzero entry of the trailing submatrix.
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
-
-        while True:
-            # Clear column t below the pivot.
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] == 0:
-                    continue
-                q = a[i][t] // a[t][t]
-                add_row(i, t, -q)
-                if a[i][t] != 0:
-                    swap_rows(t, i)
-                    dirty = True
-            if dirty:
-                continue
-            # Clear row t to the right of the pivot.
-            for j in range(t + 1, n):
-                if a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                add_col(j, t, -q)
-                if a[t][j] != 0:
-                    swap_cols(t, j)
-                    dirty = True
-            if dirty:
-                continue
-            # Fold in a submatrix entry the pivot does not divide yet.
-            d = a[t][t]
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % d != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            add_row(t, culprit, 1)
-        t += 1
-
-    return [abs(a[i][i]) for i in range(t)]
+def _smallest_entry(rows: list[dict[int, int]]) -> tuple[int, int] | None:
+    """The position of a smallest-magnitude entry, None with no entry left."""
+    entries = ((abs(x), i, j) for i, row in enumerate(rows) for j, x in row.items())
+    best = min(entries, default=None)
+    return best and best[1:]
 
 
 def quotient_invariants(free_rank: int, relations: Matrix) -> tuple[int, list[int]]:

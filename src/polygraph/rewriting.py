@@ -45,6 +45,7 @@ from .errors import (
     MultiObjectUnsupported,
     NotConvergent,
     ParseError,
+    PolygraphError,
     SourceSpan,
     StepLimitExceeded,
     UnknownGenerator,
@@ -243,12 +244,18 @@ def encode(
     the positive relations instead of the group.  Every relation side must
     then be a positive word (UnknownGenerator otherwise).  Useful when the
     group system diverges under completion but the monoid one does not.
+    The alphabet holds at most 255 letters (PolygraphError otherwise).
     """
     if len(p.cells0) != 1:
         raise MultiObjectUnsupported(
             f"string rewriting needs exactly one 0-cell, got {len(p.cells0)}"
         )
     gens = list(p.gens)
+    letters = len(gens) * (2 if inverses else 1)
+    if letters > 255:
+        raise PolygraphError(
+            f"{len(gens)} generators need {letters} letters; string rewriting allows 255"
+        )
     if precedence is None:
         precedence = gens
     else:
@@ -320,8 +327,10 @@ class _Matcher:
     add() empties exactly the slots (s, a) where s + a ends with the new
     left side or with one of its prefixes that was no state before.  The
     numbered states that end with a word are one run of ``tails``, their
-    reversed words kept sorted.  retire() drops the rows and actions; a new
-    right side for a live left side changes only its action (set_rhs).
+    reversed words kept sorted.  retire() empties the same slots and drops
+    the left side's action; a state that is no prefix any more keeps its
+    number and row, but no slot leads to it.  A new right side for a live
+    left side changes only its action (set_rhs).
     """
 
     def __init__(self, rules):
@@ -330,33 +339,18 @@ class _Matcher:
         self.prefixes: dict[bytes, list[bytes]] = {}
         self.suffixes: dict[bytes, list[bytes]] = {}
         self.added = 0
-        self._clear()
-        for rule in rules:  # rule order is the rule index order
-            if rule.lhs not in self.rules:
-                self.add(rule.lhs, rule.rhs)
-
-    def _clear(self) -> None:
         self.ids: dict[bytes, int] = {b"": 0}
         self.states: list[bytes] = [b""]
         self.tails: list[tuple[bytes, int]] = [(b"", 0)]  # (state reversed, number), sorted
         self.rows: list[list[int | None]] = [[]]
         self.actions: list[tuple[int, bytes]] = []
         self.action_of: dict[bytes, int] = {}  # left side -> ~k
+        for rule in rules:  # rule order is the rule index order
+            if rule.lhs not in self.rules:
+                self.add(rule.lhs, rule.rhs)
 
     def add(self, lhs: bytes, rhs: bytes) -> None:
-        # A slot (s, a) changes only if s + a ends with lhs or with a prefix
-        # of lhs longer than ``old`` letters, the longest that is a state.
-        old, tails = len(lhs), self.tails
-        while old and lhs[:old] not in self.prefixes:
-            old -= 1
-        for k in range(min(old, len(lhs) - 1), len(lhs)):
-            tail = lhs[:k][::-1]  # the states that end with lhs[:k]: one run of tails
-            i = bisect_left(tails, (tail,))
-            while i < len(tails) and tails[i][0].startswith(tail):
-                row = self.rows[tails[i][1]]
-                if lhs[k] < len(row):
-                    row[lhs[k]] = None
-                i += 1
+        self._reset(lhs)
         self.rules[lhs] = rhs
         self.rank[lhs] = self.added
         self.added += 1
@@ -369,7 +363,24 @@ class _Matcher:
             table[part].remove(lhs)
             if not table[part]:
                 del table[part]
-        self._clear()
+        self.action_of.pop(lhs, None)
+        self._reset(lhs)
+
+    def _reset(self, lhs: bytes) -> None:
+        """Empty the slots that listing or unlisting ``lhs`` changes: (s, a)
+        where s + a ends with lhs or with a prefix of lhs longer than ``old``
+        letters, the longest that is a state while lhs is unlisted."""
+        old, tails = len(lhs), self.tails
+        while old and lhs[:old] not in self.prefixes:
+            old -= 1
+        for k in range(min(old, len(lhs) - 1), len(lhs)):
+            tail = lhs[:k][::-1]  # the states that end with lhs[:k]: one run of tails
+            i = bisect_left(tails, (tail,))
+            while i < len(tails) and tails[i][0].startswith(tail):
+                row = self.rows[tails[i][1]]
+                if lhs[k] < len(row):
+                    row[lhs[k]] = None
+                i += 1
 
     def set_rhs(self, lhs: bytes, rhs: bytes) -> None:
         """Give the live left side ``lhs`` the right side ``rhs``."""

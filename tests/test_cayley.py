@@ -282,15 +282,16 @@ class TestHomology:
         self, monkeypatch, z5, d5, q8, z5_system, d5_system, q8_system
     ):
         # Each group's complex has H1 = 0, so every invariant factor is 1 and
-        # the sparse unit elimination finishes the relation matrix alone.
-        residues = []
-        dense = homology_module._dense_smith
+        # unit pivots finish the relation matrix alone: the elimination asks
+        # for a smallest entry only once the matrix is empty.
+        answers = []
+        smallest = homology_module._smallest_entry
 
-        def recording(a):
-            residues.append(a)
-            return dense(a)
+        def recording(rows):
+            answers.append(smallest(rows))
+            return answers[-1]
 
-        monkeypatch.setattr(homology_module, "_dense_smith", recording)
+        monkeypatch.setattr(homology_module, "_smallest_entry", recording)
         cases = [(z5, z5_system), (d5, d5_system), (q8, q8_system)]
         for text in (
             "< a, b, c | a^2 = 1, b^2 = 1, c^2 = 1,"
@@ -302,7 +303,7 @@ class TestHomology:
         for p, system in cases:
             summary = homology(build_complex(p, system))
             assert (summary.h0_rank, summary.h1_rank, summary.h1_torsion) == (1, 0, ())
-        assert residues == [[]] * 5
+        assert answers == [None] * 5
 
     def test_summaries_agree_with_sympy_on_dense_boundaries(
         self, z5, d5, q8, z5_system, d5_system, q8_system

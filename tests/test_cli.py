@@ -292,6 +292,45 @@ class TestCayley:
         assert out == ""
 
 
+class TestWideAlphabets:
+    @pytest.fixture
+    def wide(self, tmp_path):
+        # 130 generators need 260 letters with their inverses.
+        path = tmp_path / "wide.plg"
+        gens = ", ".join(f"g{i}" for i in range(130))
+        path.write_text(f"< {gens} | g0^2 = 1 >\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complete", "FILE"],
+            ["nf", "FILE", "g0 g1"],
+            ["eq", "FILE", "g0 g1", "g1 g0"],
+            ["enumerate", "FILE"],
+            ["cayley", "graph", "FILE", "--format", "dot"],
+            ["cayley", "complex", "FILE", "--format", "json", "--homology"],
+            ["tietze", "FILE", "SCRIPT", "--check-order"],
+        ],
+        ids=["complete", "nf", "eq", "enumerate", "cayley-graph", "cayley-complex", "tietze"],
+    )
+    def test_too_many_letters_is_one_diagnostic_line(self, capsys, tmp_path, wide, argv):
+        script = tmp_path / "name.tz"
+        script.write_text("T1 h := g0 g1\n")
+        argv = [{"FILE": wide, "SCRIPT": str(script)}.get(a, a) for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert "260 letters" in err and "255" in err
+        assert "Traceback" not in err
+
+    def test_a_wide_alphabet_still_parses_and_encodes_without_inverses(self, capsys, wide):
+        assert run(capsys, ["parse", wide])[0] == 0
+        code, out, err = run(capsys, ["complete", wide, "--no-inverses"])
+        assert code == 0
+        assert "g0 g0 -> 1" in out
+
+
 class TestUsage:
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert run(capsys, [])[0] == 1

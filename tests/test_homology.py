@@ -111,8 +111,24 @@ def planted(rng: random.Random) -> list[list[int]]:
     return [[row[j] for j in order] for row in a]
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Each call of the elimination's smallest-entry fallback, as (whether a
+    unit entry was left, the entry it chose or None)."""
+    calls = []
+    smallest = homology._smallest_entry
+
+    def recording(rows):
+        found = smallest(rows)
+        calls.append((any(x in (1, -1) for row in rows for x in row.values()), found))
+        return found
+
+    monkeypatch.setattr(homology, "_smallest_entry", recording)
+    return calls
+
+
 class TestSparseUnitElimination:
-    def test_planted_units_and_torsion_agree_with_sympy(self):
+    def test_planted_units_and_torsion_agree_with_sympy(self, fallbacks):
         rng = random.Random(97)
         eliminated = 0
         for _ in range(150):
@@ -120,13 +136,14 @@ class TestSparseUnitElimination:
             before = [row[:] for row in a]
             expected = sympy_factors(a)
             assert smith_normal_form(a) == expected, a
-            # The sparse pass leaves the input alone, takes out only factors
-            # 1, and hands on a residue without a unit entry.
-            pivots, residue = homology._eliminate_unit_pivots(a)
+            # The elimination leaves the input alone, takes one pivot per
+            # invariant factor, and pivots on a non-unit only once no unit
+            # entry is left.
+            pivots = homology._pivots(a)
             assert a == before
-            assert all(abs(x) != 1 for row in residue for x in row)
-            assert [1] * pivots + sympy_factors(residue) == expected
-            eliminated += pivots
+            assert len(pivots) == len(expected)
+            eliminated += pivots.count(1)
+        assert not any(unit_left for unit_left, _ in fallbacks)
         assert eliminated > 150
 
     def test_dense_units_with_fill_in_agree_with_sympy(self):
@@ -137,15 +154,45 @@ class TestSparseUnitElimination:
             a = [[rng.choice((0, 1, -1, 1, -1, 2, 3)) for _ in range(n)] for _ in range(m)]
             assert smith_normal_form(a) == sympy_factors(a), a
 
-    def test_the_cheapest_unit_goes_first(self):
+    def test_the_cheapest_unit_goes_first(self, fallbacks):
         # The unit at (0, 1) is alone in its column and costs no fill-in; the
-        # row-major first unit at (0, 0) costs two and would leave the unit-free
-        # residue [[-2, -3]] behind for the dense pass.
+        # row-major first unit at (0, 0) costs two and would leave the
+        # unit-free [[-2, -3]], which needs a non-unit pivot.
         a = [[1, 1, 2], [2, 0, 1]]
-        assert homology._eliminate_unit_pivots(a) == (2, [])
+        assert homology._pivots(a) == [1, 1]
         assert smith_normal_form(a) == [1, 1]
         # A unit in a short row can still lose to one in a longer row with a
         # shorter column; stopping the search at the first entry count that
         # holds a unit would leave [[2, 5, 2, 3, -2]] here.
         a = [[0, 0, 0, 3, 3, 0, -1], [0, 1, -1, 2, 2, 1, -1], [2, 3, 2, 2, 3, 1, -1]]
-        assert homology._eliminate_unit_pivots(a) == (3, [])
+        assert homology._pivots(a) == [1, 1, 1]
+        # Each elimination asks for a smallest entry once, when none is left.
+        assert fallbacks == [(False, None)] * 3
+
+
+class TestRemainderPivots:
+    def test_matrices_without_a_unit_entry_agree_with_sympy(self, fallbacks):
+        # No entry is ±1, so each elimination starts on a smallest entry and
+        # goes on through the remainders it leaves.
+        rng = random.Random(101)
+        nonzero = 0
+        for _ in range(300):
+            m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+            entries = (0, 0, 2, -2, 3, -3, 4, 6, -6, 9, 10, -15, 25)
+            a = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+            assert smith_normal_form(a) == sympy_factors(a), a
+            nonzero += any(map(any, a))
+        assert sum(found is not None for _, found in fallbacks) >= nonzero > 250
+
+    def test_entries_above_ten_to_the_thirty_agree_with_sympy(self):
+        rng = random.Random(103)
+        big = 10**30
+        for _ in range(100):
+            m, n = rng.randrange(1, 5), rng.randrange(1, 5)
+            a = [[rng.choice((0, 1)) * rng.randrange(-big * big, big * big) for _ in range(n)]
+                 for _ in range(m)]
+            assert smith_normal_form(a) == sympy_factors(a), a
+            # A common factor above 10^30 scales every invariant factor.
+            d = big + rng.randrange(big)
+            a = [[d * rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
+            assert smith_normal_form(a) == sympy_factors(a), a

@@ -13,6 +13,7 @@ from polygraph.errors import (
     InternalError,
     MultiObjectUnsupported,
     NotConvergent,
+    PolygraphError,
     StepLimitExceeded,
     UnknownGenerator,
 )
@@ -53,6 +54,11 @@ class TestAlphabet:
     def test_duplicate_letters_rejected(self):
         with pytest.raises(ValueError):
             Alphabet(["a", "a"])
+
+    def test_at_most_255_letters(self):
+        assert len(Alphabet([f"x{i}" for i in range(255)])) == 255
+        with pytest.raises(ValueError, match="255"):
+            Alphabet([f"x{i}" for i in range(256)])
 
     def test_unknown_letter(self):
         with pytest.raises(UnknownGenerator):
@@ -114,6 +120,13 @@ class TestEncode:
             ("b b'", "1"), ("b' b", "1"),
             ("b b", "b a"),
         }
+
+    def test_too_many_letters_is_a_polygraph_error(self):
+        gens = ", ".join(f"g{i}" for i in range(128))
+        p = presentations.parse(f"< {gens} | g0 g1 = g1 g0 >")
+        with pytest.raises(PolygraphError, match="256 letters.*255"):
+            encode(p)
+        assert len(encode(p, inverses=False).alphabet) == 128
 
     def test_multiple_cells_unsupported(self):
         p = presentations.parse(
@@ -600,8 +613,9 @@ class TestAutomaton:
     @pytest.mark.parametrize(
         "run, most",
         [
-            # 19,079 steps when every add() dropped the rows.
-            (lambda: complete(encode(load("b3.plg")), max_rules=512), 6000),
+            # 19,079 steps when every add() dropped the rows, and 3,990 when
+            # every retire() still did.
+            (lambda: complete(encode(load("b3.plg")), max_rules=512), 2500),
             # Order 108: 1,340 steps when every add() dropped the rows.
             (lambda: complete(encode(dihedral(54, True))), 700),
         ],

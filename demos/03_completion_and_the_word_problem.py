@@ -1,7 +1,10 @@
 """Deciding word equality by Knuth-Bendix completion.
 
 encode() turns a presentation into string rewriting rules over the
-generators and their formal inverses, oriented by shortlex.  complete()
+generators and their formal inverses, oriented by shortlex.  A relator
+w = 1 goes in split in half, as w[:h] = w[h:]^-1 with h = ceil(|w|/2):
+a^5 = 1 becomes a a a -> a' a', which leaves completion less to cut down
+and converges to the same rules as a^5 -> 1 would.  complete()
 saturates the rules until every critical pair joins — when that ends, each
 group element owns exactly one irreducible word, and equality becomes a
 string comparison.  When it doesn't end, the engine says so instead of

@@ -5,7 +5,12 @@ per generator plus one first-class *inverse letter* per generator (written
 with a trailing apostrophe: the inverse of ``a`` is the letter ``a'``).
 Free cancellation is not built into the data: it is carried by explicit
 rewrite rules ``a a' -> 1`` and ``a' a -> 1`` that take part in completion
-like any other rule.
+like any other rule.  A relator ``w = 1`` of two or more letters is encoded
+balanced, as ``w[:h] = w[h:]^-1`` with h = ceil(|w|/2) (``r^5 = 1`` gives
+``r r r -> r' r'``): the same relation, whose shorter left side leaves
+completion less to cut down.  Completion that converges returns the same
+rules either way, since the reduced convergent system of a congruence under
+one reduction order is unique.
 
 Words are ordered by shortlex: shorter first, ties broken letter-by-letter
 using the alphabet's precedence (by default: generators in declaration
@@ -17,12 +22,12 @@ public functions speak word text (``a b' a^2``) or Word values.
 
 Queries and complete() run on a rule index, an automaton over the left
 sides (see _Matcher) with numbered states, whose transitions and redexes
-fill one list row per state as they are first needed; adding a rule
-empties only the slots it can change, and retiring one drops the rows.
-normalize() reads a letter with one list lookup and rewrites the redex
-that ends first.  In the inter-reduced systems complete() builds that is
-the leftmost redex; a hand-built system may differ: ``a b c -> x``,
-``b -> y`` take ``a b c`` to ``a y c``, not ``x``.
+fill one list row per state as they are first needed; adding or retiring
+a rule empties only the slots it can change.  normalize() reads a letter
+with one list lookup and rewrites the redex that ends first.  In the
+inter-reduced systems complete() builds that is the leftmost redex; a
+hand-built system may differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to
+``a y c``, not ``x``.
 
 The text serialization of a system is one rule per line after an order
 header, and parses back with parse_system()::
@@ -237,13 +242,19 @@ def encode(
     default) followed by their inverse letters; the rules are the two free
     cancellation rules per generator, then one shortlex-oriented rule per
     relation.  A relation whose sides freely reduce to the same word carries
-    no rewriting content; it is dropped with a log note.
+    no rewriting content; it is dropped with a log note.  One whose sides
+    freely reduce to a relator ``w = 1`` with at least two letters is split
+    in half first, as ``w[:h] = w[h:]^-1`` with h = ceil(|w|/2): d5's
+    ``r^5 = 1``, ``s^2 = 1`` and ``r s r s = 1`` become ``r r r -> r' r'``,
+    ``s' -> s`` and ``s' r' -> r s``.  Relations with two nonempty sides and
+    one-letter relators are kept as written.
 
     With ``inverses=False`` the alphabet is the generators alone and no
     cancellation rules are added: the system rewrites the monoid presented by
-    the positive relations instead of the group.  Every relation side must
-    then be a positive word (UnknownGenerator otherwise).  Useful when the
-    group system diverges under completion but the monoid one does not.
+    the positive relations instead of the group, and a relator stays whole,
+    as ``w -> 1``.  Every relation side must then be a positive word
+    (UnknownGenerator otherwise).  Useful when the group system diverges
+    under completion but the monoid one does not.
     The alphabet holds at most 255 letters (PolygraphError otherwise).
     """
     if len(p.cells0) != 1:
@@ -289,6 +300,11 @@ def encode(
         if left == right:
             logger.info("relation %s is freely trivial; dropped from the encoding", rel)
             continue
+        if inverses and not (left and right) and len(left + right) >= 2:
+            # w = 1 as w[:h] = w[h:]^-1: half the left side for completion to cut.
+            word = left + right
+            h = (len(word) + 1) // 2
+            left, right = word[:h], bytes((x + n) % (2 * n) for x in reversed(word[h:]))
         if _slex_greater(left, right):
             rules.append(Rule(left, right))
         else:

@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 import props
-from conftest import load
+from conftest import DATA, load
 from polygraph import presentations, rewriting
 from polygraph.cayley import build_graph
 from polygraph.errors import (
@@ -109,9 +109,10 @@ class TestEncode:
             encode(p, inverses=False)
 
     def test_freely_trivial_relation_dropped(self):
-        p = presentations.parse("< a | a a' = 1 >")
+        # Dropped before any relator is split in half.
+        p = presentations.parse("< a, b | a a' = 1, a b b' a' = 1, a' b b' a = 1 >")
         system = encode(p)
-        assert ruleset(system) == {("a a'", "1"), ("a' a", "1")}
+        assert ruleset(system) == {("a a'", "1"), ("a' a", "1"), ("b b'", "1"), ("b' b", "1")}
 
     def test_relation_sides_are_freely_reduced(self):
         p = presentations.parse("< a, b | a a' b a = b b >")
@@ -120,6 +121,47 @@ class TestEncode:
             ("b b'", "1"), ("b' b", "1"),
             ("b b", "b a"),
         }
+
+    @pytest.mark.parametrize("text, rules", [
+        # One letter: nothing to balance.
+        ("< r | r = 1 >", {("r", "1")}),
+        # Two letters: r = r', oriented by shortlex.
+        ("< r | r^2 = 1 >", {("r'", "r")}),
+        # Odd power: the longer half is the left side.
+        ("< r | r^5 = 1 >", {("r r r", "r' r'")}),
+        # Even power: equal halves, so the letter order orients them.
+        ("< r | r^6 = 1 >", {("r' r' r'", "r r r")}),
+        # Written 1 = w, the same relator.
+        ("< r | 1 = r^5 >", {("r r r", "r' r'")}),
+        # Sides are reduced before the relator is split: r s s' r r r = 1.
+        ("< r, s | r s s' r^3 = 1 >", {("r' r'", "r r")}),
+    ])
+    def test_a_relator_is_split_in_half(self, text, rules):
+        p = presentations.parse(text)
+        cancel = {(f"{g} {g}'", "1") for g in p.gens} | {(f"{g}' {g}", "1") for g in p.gens}
+        assert ruleset(encode(p)) == cancel | rules
+
+    def test_a_mixed_relator_is_split_in_half(self):
+        # d5: r^5 = 1, s^2 = 1 and r s r s = 1 become r^3 = r^-2, s = s'
+        # and r s = s' r', each oriented by shortlex.
+        system = encode(load("d5.plg"))
+        assert system.alphabet.letters == ("r", "s", "r'", "s'")
+        assert format_system(system).splitlines()[5:] == [
+            "r r r -> r' r'", "s' -> s", "s' r' -> r s",
+        ]
+
+    def test_precedence_orients_the_halves(self):
+        p = presentations.parse("< a, b | a b' = 1, a^4 = 1 >")
+        assert {("b", "a"), ("a' a'", "a a")} < ruleset(encode(p))
+        assert {("a", "b"), ("a' a'", "a a")} < ruleset(encode(p, ["b", "a"]))
+
+    def test_two_sided_relations_are_not_balanced(self):
+        p = presentations.parse("< a | a^3 = a' >")
+        assert ruleset(encode(p)) == {("a a'", "1"), ("a' a", "1"), ("a a a", "a'")}
+
+    def test_monoid_mode_keeps_relators_whole(self):
+        system = encode(load("d5.plg"), inverses=False)
+        assert ruleset(system) == {("r r r r r", "1"), ("s s", "1"), ("r s r s", "1")}
 
     def test_too_many_letters_is_a_polygraph_error(self):
         gens = ", ".join(f"g{i}" for i in range(128))
@@ -138,8 +180,8 @@ class TestEncode:
 
 class TestComplete:
     def test_cyclic_five(self, z5_system):
-        # Completion replaces the length-five relator with the balanced
-        # pair a^3 -> a^-2 and a^-3 -> a^2; five normal forms remain.
+        # encode() writes the relator a^5 = 1 as a^3 -> a^-2, and completion
+        # adds a^-3 -> a^2; five normal forms remain.
         assert z5_system.convergent == "proven"
         assert ruleset(z5_system) == {
             ("a a'", "1"), ("a' a", "1"),
@@ -353,6 +395,75 @@ class TestVerifyConvergent:
         assert "b b b" in peaks
 
 
+def encode_whole(p):
+    """encode(p) with every relator w = 1 kept whole as the rule w -> 1."""
+    system = encode(p)
+    rules = list(system.rules[: 2 * len(p.gens)])
+    for lhs, rhs in p.rels.values():
+        sides = {system.word_bytes(lhs.reduce()), system.word_bytes(rhs.reduce())}
+        if len(sides) == 2:
+            rules.append(Rule(*sorted(sides, key=lambda w: (len(w), w), reverse=True)))
+    return RewritingSystem(system.alphabet, rules)
+
+
+def coxeter(k):
+    gens = [f"s{i}" for i in range(1, k)]
+    rels = [f"{g}^2 = 1" for g in gens]
+    rels += [
+        f"{a} {b} {a} = {b} {a} {b}" if j == i + 1 else f"{a} {b} = {b} {a}"
+        for i, a in enumerate(gens) for j, b in enumerate(gens) if i < j
+    ]
+    return f"< {', '.join(gens)} | {', '.join(rels)} >"
+
+
+# Every family and size of the decide and structure benchmark decks that
+# converges, with the benchmark's relations and fixed generator names, plus
+# the tests/data files with a relator (b3 and q8 have none).
+DECK = (
+    [f"< r, s | r^{n} = 1, s^2 = 1, r s r s = 1 >"
+     for n in (6, 8, 10, 12, 14, 18, 20, 24, 28, 30, 32)]
+    + [f"< r, s | r^{(n + 1) // 2} = r^-{n // 2}, s = s', r s = s' r' >"
+       for n in (4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 18, 20, 21, 22, 24, 25, 26,
+                 28, 29, 30, 34, 40, 44, 50, 54)]
+    + [f"< a, b | a^{m} = 1, b^{n} = 1, a b = b a >"
+       for m, n in ((2, 3), (3, 4), (4, 6), (5, 5), (3, 8), (6, 10), (8, 8), (2, 5),
+                    (2, 4), (3, 3), (2, 6), (4, 4), (5, 7), (6, 6), (4, 9), (6, 8),
+                    (7, 7), (5, 10), (7, 8), (6, 9), (5, 11))]
+    + [coxeter(3), coxeter(4)]
+    + [
+        "< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >",  # A5
+        "< i, j | i = j i j, j = i j i >",  # Q8
+        "< a, A, b, B | A = a', B = b', a b = b a >",  # Z x Z
+        "< a, b | a^2 = 1, b^3 = 1 >",  # Z2 * Z3
+    ]
+    + [(DATA / f"{name}.plg").read_text() for name in ("d5", "z5")]
+)
+
+
+class TestBalancedRelators:
+    @pytest.mark.parametrize("text", DECK, ids=[text.splitlines()[-1] for text in DECK])
+    def test_the_balanced_encoding_completes_to_the_same_rules(self, text):
+        # The reduced convergent system of a congruence under one reduction
+        # order is unique, so splitting a relator changes no completed rule.
+        p = presentations.parse(text)
+        balanced, whole = complete(encode(p)), complete(encode_whole(p))
+        assert isinstance(balanced, Converged) and isinstance(whole, Converged)
+        assert ruleset(balanced.system) == ruleset(whole.system)
+
+    def test_a_power_relator_pops_a_quarter_of_the_pairs(self, monkeypatch):
+        # r^32 = 1 written r^16 -> r^-16: 409 pops; as r^32 -> 1, 1,634.
+        pops = []
+        heappop = rewriting.heappop
+
+        def counting(queue):
+            pops.append(None)
+            return heappop(queue)
+
+        monkeypatch.setattr(rewriting, "heappop", counting)
+        assert isinstance(complete(encode(dihedral(32, False))), Converged)
+        assert len(pops) < 600
+
+
 # Converged infinite systems: Z x Z with its inverses named and placed
 # between the generators, as perfbench spells it, the modular group, and a
 # free monoid (the braid monoid is a fixture).
@@ -481,54 +592,75 @@ def dihedral(n: int, balanced: bool):
     return presentations.parse(f"< r, s | r^{n} = 1, s^2 = 1, r s r s = 1 >")
 
 
-# SHA-1 of format_system for each completion, with its outcome, as the
-# last-letter-bucket index produced them (D200-balanced as the automaton
-# that joined every critical pair did): the automaton, the overlap finder
-# and the skipping of composite critical pairs must leave every rule set,
-# and the order of its rules, unchanged.
+# SHA-1 of format_system for each completion, with its outcome, then the
+# SHA-1 of its lines sorted.  The sorted digests are the rule sets the
+# last-letter-bucket index produced from relators encoded as ``w -> 1``
+# (D200-balanced as the automaton that joined every critical pair did):
+# the automaton, the overlap finder, the skipping of composite critical
+# pairs and the balanced relator encoding must leave every rule set
+# unchanged.  The ordered digests pin the order of the rules as well;
+# those of D10, D20, D30 and d5 are the balanced encoding's (a relator
+# ``w = 1`` is added as ``w[:h] = w[h:]^-1``), the rest predate it.
 COMPLETION_DIGESTS = [
     ("b3-20", lambda: complete(encode(load("b3.plg")), max_rules=20),
-     "max_rules", "1c9afe3930af73616ba2aab7feaad4264974cfb6"),
+     "max_rules", "1c9afe3930af73616ba2aab7feaad4264974cfb6",
+     "0cac8662f6b51779847f4ce72e7e83012337ed2f"),
     ("b3-64", lambda: complete(encode(load("b3.plg")), max_rules=64),
-     "max_rules", "bf7471631571c8acce175557cbfd6c400cfbf7f2"),
+     "max_rules", "bf7471631571c8acce175557cbfd6c400cfbf7f2",
+     "93c54d58c31f18eb76aaf0593e5f2526780dce97"),
     ("b3-128", lambda: complete(encode(load("b3.plg")), max_rules=128),
-     "max_rules", "b5ef0162e44d28fd5da0b6d47c847dc7a02633b1"),
+     "max_rules", "b5ef0162e44d28fd5da0b6d47c847dc7a02633b1",
+     "d73d34ac9a16fb77829132b52a6dd532cacdc96d"),
     ("b3-256", lambda: complete(encode(load("b3.plg")), max_rules=256),
-     "max_rules", "8174b191e0d1f2287c60592c7aa79006f57d1879"),
+     "max_rules", "8174b191e0d1f2287c60592c7aa79006f57d1879",
+     "8acae17d1104cce6e8585228c333adff71ca261b"),
     ("b3-512", lambda: complete(encode(load("b3.plg")), max_rules=512),
-     "max_rules", "d01340e0dbde616dce8ad820684a34a443224c58"),
+     "max_rules", "d01340e0dbde616dce8ad820684a34a443224c58",
+     "878204bf468da9b26a4ad633c1963198e98b34f3"),
     ("D10", lambda: complete(encode(dihedral(10, False)), max_lhs_len=1000),
-     None, "1fbcb9026c02de172b2656e022f3239cb9337e6d"),
+     None, "4500466789a8145b30565d3c6dbdc8dd0e40c9a5",
+     "41f5e4c2e56598f07682c0408215f5809c996b03"),
     ("D20", lambda: complete(encode(dihedral(20, False)), max_lhs_len=1000),
-     None, "d4832b70548dfc59b87a6ebe39889c0da2179765"),
+     None, "562ce63ca2c63f41292d6e9465a02ffadda7cfbd",
+     "1f228d5a8ff9de99eef1318ba5e0e119340235d6"),
     ("D30", lambda: complete(encode(dihedral(30, False)), max_lhs_len=1000),
-     None, "74792cdb6af276206265b0486401d537b149f907"),
+     None, "c55f5708662bfa6d6ff4f6f5d59170a74b0b997a",
+     "afb2b8528d8434db7fc1ca811b459f96313f603f"),
     ("D30-balanced", lambda: complete(encode(dihedral(30, True))),
-     None, "c55f5708662bfa6d6ff4f6f5d59170a74b0b997a"),
+     None, "c55f5708662bfa6d6ff4f6f5d59170a74b0b997a",
+     "afb2b8528d8434db7fc1ca811b459f96313f603f"),
     ("D50-balanced", lambda: complete(encode(dihedral(50, True))),
-     None, "dec0e4f2b93e69c17256aba9eee9b7e5d3e0afbb"),
+     None, "dec0e4f2b93e69c17256aba9eee9b7e5d3e0afbb",
+     "f441c7fc24aaf08f24c87822e973325702dadbbb"),
     # Order 400: most critical pairs queued here are composite.
     ("D200-balanced", lambda: complete(encode(dihedral(200, True)), max_lhs_len=200),
-     None, "9924e22a0fe29f8ab208f46bb559f50043e9afe5"),
+     None, "9924e22a0fe29f8ab208f46bb559f50043e9afe5",
+     "6aaba77bbf915152ca1353a099fa7128bb7e5a04"),
     ("d5", lambda: complete(encode(load("d5.plg"))),
-     None, "cce7d2adb443be5aaf9f9427bcc63399a9a5e1aa"),
+     None, "58602b637d697a1b86f915fb1f5b47625ce1e0e0",
+     "146bbe9d64f612a17fc6ed1a5fda85326dccc212"),
     ("q8", lambda: complete(encode(load("q8.plg"))),
-     None, "d96c961e493ae51a01766eb128460a8efa81c0dd"),
+     None, "d96c961e493ae51a01766eb128460a8efa81c0dd",
+     "f6018123584d27faf750266701b58b21559863ea"),
     ("z5", lambda: complete(encode(load("z5.plg"))),
-     None, "72ce094ea3c4a2cd785af5d6add4b8a70b1dcb0b"),
+     None, "72ce094ea3c4a2cd785af5d6add4b8a70b1dcb0b",
+     "5d9d1032ce051cf973572f5bd6f0d317a1382dcc"),
 ]
 
 
 class TestAutomaton:
     @pytest.mark.parametrize(
-        "run, reason, digest", [case[1:] for case in COMPLETION_DIGESTS],
+        "run, reason, digest, sorted_digest", [case[1:] for case in COMPLETION_DIGESTS],
         ids=[case[0] for case in COMPLETION_DIGESTS],
     )
-    def test_completion_output_is_pinned(self, run, reason, digest):
+    def test_completion_output_is_pinned(self, run, reason, digest, sorted_digest):
         out = run()
         assert isinstance(out, GaveUp if reason else Converged)
         assert getattr(out, "reason", None) == reason
-        assert hashlib.sha1(format_system(out.system).encode()).hexdigest() == digest
+        text = format_system(out.system)
+        rule_set = "\n".join(sorted(text.splitlines()))
+        assert hashlib.sha1(rule_set.encode()).hexdigest() == sorted_digest
+        assert hashlib.sha1(text.encode()).hexdigest() == digest
 
     def test_a_new_rule_is_paired_only_with_the_rules_it_overlaps(self, monkeypatch):
         # complete() asks the rule index once for each new rule's overlaps

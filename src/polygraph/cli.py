@@ -14,6 +14,7 @@ across identical invocations; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -269,6 +270,7 @@ def _cmd_cayley_complex(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polygraph",

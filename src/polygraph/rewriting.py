@@ -386,11 +386,11 @@ class _Matcher:
         """Empty the slots that listing or unlisting ``lhs`` changes: (s, a)
         where s + a ends with lhs or with a prefix of lhs longer than ``old``
         letters, the longest that is a state while lhs is unlisted."""
-        old, tails = len(lhs), self.tails
+        old, tails, backwards = len(lhs), self.tails, lhs[::-1]
         while old and lhs[:old] not in self.prefixes:
             old -= 1
         for k in range(min(old, len(lhs) - 1), len(lhs)):
-            tail = lhs[:k][::-1]  # the states that end with lhs[:k]: one run of tails
+            tail = backwards[len(lhs) - k:]  # lhs[:k] reversed; its states: one run of tails
             i = bisect_left(tails, (tail,))
             while i < len(tails) and tails[i][0].startswith(tail):
                 row = self.rows[tails[i][1]]
@@ -556,15 +556,24 @@ def critical_pairs(system: RewritingSystem) -> list[CriticalPair]:
     another.  The descendants are single rewrites of the peak, one per rule.
     Composite pairs, which verify_convergent() skips, are listed too.
     """
-    return [CriticalPair(*pair) for _, *pair in _critical_pairs(system)]
+    return [CriticalPair(*_pair_words(*pair)) for _, *pair in _critical_pairs(system)]
+
+
+def _pair_words(l1: bytes, r1: bytes, k: int, l2: bytes, r2: bytes):
+    """The peak where the left side l1 starts and l2 starts k letters in,
+    and its rewrites by l1 -> r1 and by l2 -> r2."""
+    tail = l2[len(l1) - k:]  # empty when l2 lies inside l1
+    peak = l1 + tail
+    return peak, r1 + tail, peak[:k] + r2 + peak[k + len(l2):]
 
 
 def _critical_pairs(system: RewritingSystem):
-    """(composite, peak, left, right) of each critical pair, rule by rule:
-    the overlaps with the rule's left side in front, read off the rule
-    index, then the left sides inside it.  ``composite`` marks an overlap
-    whose peak without its first and last letter contains a left side; a
-    left side inside another is never composite."""
+    """(composite, l1, r1, k, l2, r2) of each critical pair (its words are
+    _pair_words of the rest), rule by rule: the overlaps with the rule's
+    left side in front, read off the rule index, then the left sides inside
+    it.  ``composite`` marks an overlap whose peak without its first and
+    last letter contains a left side; a left side inside another is never
+    composite."""
     index, rules = system._matcher, [(rule.lhs, rule.rhs) for rule in system.rules]
     sides: dict[bytes, list[bytes]] = {}
     for lhs, rhs in rules:
@@ -577,7 +586,7 @@ def _critical_pairs(system: RewritingSystem):
                 tail = l2[t:]
                 composite = front < 0 or index.read(tail[:-1], front) < 0
                 for r2 in sides[l2]:
-                    yield composite, l1 + tail, r1 + tail, l1[:-t] + r2
+                    yield composite, l1, r1, len(l1) - t, l2, r2
         # Another left side lies in l1 only if it repeats l1 or lies in l1
         # without its first or last letter: never, in an inter-reduced system.
         if len(sides[l1]) > 1 or front < 0 or index.read(l1[:-1]) < 0:
@@ -586,7 +595,7 @@ def _critical_pairs(system: RewritingSystem):
                     continue
                 k = l1.find(l2)
                 while k != -1:
-                    yield False, l1, r1, l1[:k] + r2 + l1[k + len(l2):]
+                    yield False, l1, r1, k, l2, r2
                     k = l1.find(l2, k + 1)
 
 
@@ -614,7 +623,10 @@ def complete(
 
     Equations wait in a queue ordered by their peak word (shortlex smallest
     first, insertion order on ties), so runs are deterministic.  Every input
-    rule starts out as an equation.  When a popped equation still has two
+    rule starts out as an equation.  A critical pair is numbered when found
+    but kept unbuilt, filed by peak length, until the queue reaches that
+    length: only then are its peak and sides built and queued, so the pairs
+    a run never reaches cost no words.  When a popped equation still has two
     distinct normal forms it becomes a new rule; existing rules whose left
     side the new rule rewrites are retired back into the queue, and right
     sides are kept fully normalized.  A popped critical pair that is
@@ -633,6 +645,11 @@ def complete(
     rules = index.rules  # in rule order, edited in place
     serial = 0
     queue: list[tuple[int, bytes, int, bytes, bytes]] = []
+    # Critical pairs not built yet, by peak length: (serial, l1, r1, t, l2, r2)
+    # when l2 starts with the last t letters of l1; ``sizes`` lists the
+    # lengths, sorted.
+    waiting: dict[int, list[tuple[int, bytes, bytes, int, bytes, bytes]]] = {}
+    sizes: list[int] = []
 
     def snapshot() -> RewritingSystem:
         return RewritingSystem(system.alphabet, [Rule(l, r) for l, r in rules.items()])
@@ -646,10 +663,17 @@ def complete(
     push((rule.lhs, rule.lhs, rule.rhs) for rule in system.rules)
     steps = 0
     try:
-        while queue:
+        while queue or sizes:
             steps += 1
             if steps > max_steps:
                 return GaveUp(snapshot(), "max_steps")
+            # Build the waiting pairs no longer than the front of the queue
+            # (or the shortest, if it is empty): none left can come first.
+            while sizes and (not queue or sizes[0] <= queue[0][0]):
+                size = sizes.pop(0)
+                for at, l1, r1, t, l2, r2 in waiting.pop(size):
+                    tail = l2[t:]
+                    heappush(queue, (size, l1 + tail, at, r1 + tail, l1[:-t] + r2))
             _, peak, _, u, v = heappop(queue)
             if u != peak and index.read(peak[1:-1]) < 0:
                 continue
@@ -676,19 +700,22 @@ def complete(
             finally:
                 for old_lhs, old_rhs in fresh.items():
                     index.set_rhs(old_lhs, old_rhs)
-            # Queue the critical pairs of the new rule with each rule it
+            # Number the critical pairs of the new rule with each rule it
             # overlaps, in rule order (itself last), the new rule in front
-            # first, shortest overlap first.  No left side lies in another,
-            # so these are all of them.
-            pairs = []
+            # first, shortest overlap first, and leave them waiting.  No left
+            # side lies in another, so these are all of them.
+            n = len(lhs)
             for _, behind, t, other in index.overlap_hits(lhs):
+                size = n + len(other) - t
+                bucket = waiting.get(size)
+                if bucket is None:
+                    bucket = waiting[size] = []
+                    insort(sizes, size)
                 if behind:
-                    tail = lhs[t:]
-                    pairs.append((other + tail, rules[other] + tail, other[:-t] + rhs))
+                    bucket.append((serial, other, rules[other], t, lhs, rhs))
                 else:
-                    tail = other[t:]
-                    pairs.append((lhs + tail, rhs + tail, lhs[:-t] + rules[other]))
-            push(pairs)
+                    bucket.append((serial, lhs, rhs, t, other, rules[other]))
+                serial += 1
     except StepLimitExceeded:
         return GaveUp(snapshot(), "max_steps")
     try:
@@ -726,22 +753,26 @@ class Refuted:
 def verify_convergent(system: RewritingSystem) -> Proven | Refuted:
     """Join every prime critical pair; any failure is a witness.
 
-    An overlap is composite, and skipped, when a left side lies in its peak
-    without the peak's first and last letter; a left side inside another is
-    always checked.  Every rule decreases shortlex, so rewriting terminates,
-    and a terminating system is confluent exactly when its prime critical
-    pairs join (Kapur, Musser and Narendran, "Only prime superpositions need
-    be considered in the Knuth-Bendix completion procedure", J. Symbolic
-    Computation 6, 1988; Sims 1994, ch. 2): passing means unique normal forms.
+    An overlap is composite, and skipped before its peak and sides are
+    built, when a left side lies in its peak without the peak's first and
+    last letter; a left side inside another is always checked.  Each
+    distinct side word is normalized once per call.  Every rule decreases
+    shortlex, so rewriting terminates, and a terminating system is confluent
+    exactly when its prime critical pairs join (Kapur, Musser and Narendran,
+    "Only prime superpositions need be considered in the Knuth-Bendix
+    completion procedure", J. Symbolic Computation 6, 1988; Sims 1994,
+    ch. 2): passing means unique normal forms.
     """
-    matcher = system._matcher
-    for composite, peak, left, right in _critical_pairs(system):
+    matcher, normal = system._matcher, {}  # side word -> its normal form
+    for composite, l1, r1, k, l2, r2 in _critical_pairs(system):
         if composite:
             continue
-        left = matcher.normalize(left, DEFAULT_MAX_STEPS)
-        right = matcher.normalize(right, DEFAULT_MAX_STEPS)
-        if left != right:
-            return Refuted(*(system.word_text(w) for w in (peak, left, right)))
+        peak, left, right = _pair_words(l1, r1, k, l2, r2)
+        for side in (left, right):
+            if side not in normal:
+                normal[side] = matcher.normalize(side, DEFAULT_MAX_STEPS)
+        if normal[left] != normal[right]:
+            return Refuted(*(system.word_text(w) for w in (peak, normal[left], normal[right])))
     return Proven()
 
 

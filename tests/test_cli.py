@@ -343,6 +343,16 @@ class TestUsage:
         assert code == 0
         assert "polygraph" in out
 
+    def test_repeated_calls_in_one_process_answer_alike(self, capsys):
+        # The parser is built once per process and serves every call.
+        commands = [["eq", D5, "r^5", "1"], ["enumerate", Z5], ["--help"], ["parse"]]
+        first = [run(capsys, argv) for argv in commands]
+        assert [code for code, _, _ in first] == [0, 0, 0, 1]
+        for _ in range(3):
+            for argv, (code, out, _) in zip(commands, first):
+                assert run(capsys, argv)[:2] == (code, out)
+        assert cli._build_parser() is cli._build_parser()
+
 
 # What the console-script wrapper that pip writes for a
 # ``[project.scripts]`` entry does, with the entry point's value filled in.

@@ -3,28 +3,30 @@
 Vertices are shortlex normal forms from a proven-convergent rewriting system,
 one edge g -> normalize(g·x) per vertex and generator, and one disk per
 (vertex, relation) pair glued along the relation traced through the graph.
+Edges and faces read the system's memoized right action, one integer
+column per letter, which ``oracle``'s multiplication table shares.
 Deterministic ordering throughout (shortlex vertices, declaration-order
 generators and relations) keeps exports byte-stable and diffable.
 
 Homology of the complex comes from one spanning forest of the graph: its
 component count is H0, and each face's entries on the non-tree edges are
-its coordinates over the fundamental cycles, so H1 is a single sparse Smith
-normal form of that cotree-by-face matrix.  For the presentations this
-package targets the complex has one connected component and trivial first
-homology, every pivot of that elimination is a unit, and the tests assert
-exactly that.
+its coordinates over the fundamental cycles, written straight into sparse
+rows, so H1 is a single sparse Smith normal form of that cotree-by-face
+matrix.  For the presentations this package targets the complex has one
+connected component and trivial first homology, every pivot of that
+elimination is a unit, and the tests assert exactly that.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .errors import InfiniteOrUnknown, InternalError, UnknownGenerator
-from .homology import quotient_invariants
+from .errors import InternalError, UnknownGenerator
+from .homology import _invariant_factors
 from .model import Polygraph
-from .rewriting import MoreThanCap, RewritingSystem, _normal_form_bytes, normalize_bytes
+from .rewriting import RewritingSystem
 from .words import Word
 
 __all__ = [
@@ -100,52 +102,23 @@ class HomologySummary:
     euler: int
 
 
-def _right_action(system: RewritingSystem, letters, cap: int):
-    """The shortlex normal forms w_0 = 1, w_1, ... as internal letters, and
-    ``action[i][k]``, the index of nf(w_i · x) for the k-th of ``letters``.
-
-    A product w_i · x that is itself irreducible is its own normal form, so
-    only the other products are rewritten.
-    """
-    words = _normal_form_bytes(system, cap)
-    if isinstance(words, MoreThanCap):
-        raise InfiniteOrUnknown(
-            f"presentation has more than {cap} normal forms; "
-            "raise the cap if the group really is finite"
-        )
-    index = {word: i for i, word in enumerate(words)}
-    action: list[list[int]] = []
-    for word in words:
-        row: list[int] = []
-        for x in letters:
-            product = word + bytes((x,))
-            if product not in index:
-                product = normalize_bytes(system, product)
-                if product not in index:
-                    raise InternalError(
-                        f"normalize({system.word_text(word)!r} * "
-                        f"{system.alphabet.letters[x]}) left the normal-form set"
-                    )
-            row.append(index[product])
-        action.append(row)
-    return words, action
-
-
 def build_graph(p: Polygraph, system: RewritingSystem, cap: int = 10000) -> CayleyGraph:
-    """One vertex per group element, one out-edge per element and generator.
+    """One vertex per group element, one out-edge per element and generator,
+    read off the system's memoized right action.
 
     Requires a proven-convergent system whose normal forms are finite within
     the cap (InfiniteOrUnknown otherwise) and whose alphabet covers the
     presentation's generators (UnknownGenerator otherwise).
     """
     letters = [system.alphabet.index(gen) for gen in p.gens]
-    words, action = _right_action(system, letters, cap)
+    action = system._action(cap)
+    columns = [action.column(x) for x in letters]
     edges = tuple(
-        Edge(src=src, dst=dst, gen=gen)
-        for src, row in enumerate(action)
-        for gen, dst in zip(p.gens, row)
+        Edge(src=src, dst=column[src], gen=gen)
+        for src in range(len(action.words))
+        for gen, column in zip(p.gens, columns)
     )
-    vertices = tuple(system.word_text(word) for word in words)
+    vertices = tuple(system.word_text(word) for word in action.words)
     return CayleyGraph(vertices=vertices, edges=edges, gens=tuple(p.gens))
 
 
@@ -188,30 +161,26 @@ def graph_invariants(g: CayleyGraph) -> GraphInvariants:
     )
 
 
-def _edge_tables(g: CayleyGraph):
-    out_edge: dict[tuple[int, str], tuple[int, int]] = {}
-    in_edge: dict[tuple[int, str], tuple[int, int]] = {}
-    for i, edge in enumerate(g.edges):
-        out_edge[(edge.src, edge.gen)] = (i, edge.dst)
-        in_edge[(edge.dst, edge.gen)] = (i, edge.src)
-    return out_edge, in_edge
-
-
-def _trace(g: CayleyGraph, out_edge, in_edge, start: int, word: Word):
+def _trace(forward, backward, position, start: int, word: Word):
     """Walk a zig-zag word through the graph from a vertex.
 
     Returns (signed edge references, end vertex): a positive letter follows
-    its edge forwards (+), an inverse letter follows the unique incoming edge
-    backwards (-).
+    its generator's column forwards (+), an inverse letter the unique
+    incoming edge backwards (-), by the column's inverse permutation.  Edge
+    v·g + k leaves v by the k-th of g generators.
     """
-    here = start
+    here, g = start, len(forward)
     refs: list[int] = []
     for letter in word.letters:
-        edges = out_edge if letter.sign > 0 else in_edge
-        if (here, letter.gen) not in edges:
+        k = position.get(letter.gen)
+        if k is not None and letter.sign > 0:
+            refs.append(here * g + k + 1)
+            here = forward[k][here]
+            continue
+        if k is None or backward[k][here] < 0:
             raise UnknownGenerator(f"no edge for generator {letter.gen!r}")
-        edge_id, here = edges[(here, letter.gen)]
-        refs.append(edge_id + 1 if letter.sign > 0 else -(edge_id + 1))
+        here = backward[k][here]
+        refs.append(-(here * g + k + 1))
     return refs, here
 
 
@@ -225,12 +194,17 @@ def build_complex(p: Polygraph, system: RewritingSystem, cap: int = 10000) -> Ca
     disagree).
     """
     graph = build_graph(p, system, cap)
-    out_edge, in_edge = _edge_tables(graph)
+    forward = [system._action(cap).column(system.alphabet.index(g)) for g in p.gens]
+    backward = [[-1] * len(graph.vertices) for _ in forward]  # -1: no edge comes in
+    for column, inverse in zip(forward, backward):
+        for src, dst in enumerate(column):
+            inverse[dst] = src
+    position = {gen: k for k, gen in enumerate(p.gens)}
     faces: list[Face] = []
     for base in range(len(graph.vertices)):
         for rel, (lhs, rhs) in p.rels.items():
-            left_refs, left_end = _trace(graph, out_edge, in_edge, base, lhs)
-            right_refs, right_end = _trace(graph, out_edge, in_edge, base, rhs)
+            left_refs, left_end = _trace(forward, backward, position, base, lhs)
+            right_refs, right_end = _trace(forward, backward, position, base, rhs)
             if left_end != right_end:
                 raise InternalError(
                     f"face ({graph.vertices[base]!r}, {rel}) does not close: "
@@ -259,7 +233,7 @@ def homology(c: CayleyComplex) -> HomologySummary:
     tree, components = _spanning_forest(g)
     cotree = [i for i in range(e) if not tree[i]]
     cotree_row = {edge_id: row for row, edge_id in enumerate(cotree)}
-    relations: list[list[int]] = [[0] * f for _ in cotree]
+    entries: list[defaultdict[int, int]] = [defaultdict(int) for _ in cotree]
     for j, face in enumerate(c.faces):
         # Coordinates are exact only for cycles: boundary_1 of the face's
         # boundary must vanish (InternalError otherwise).
@@ -271,14 +245,15 @@ def homology(c: CayleyComplex) -> HomologySummary:
             closure[edge.dst] += sign
             closure[edge.src] -= sign
             if edge_id in cotree_row:
-                relations[cotree_row[edge_id]][j] += sign
+                entries[cotree_row[edge_id]][j] += sign
         if any(closure.values()):
             raise InternalError(f"boundary of face {j} ({face.rel}) is not a cycle")
-    h1_rank, torsion = quotient_invariants(len(cotree), relations)
+    # One sparse row per cotree edge, without the entries that cancelled.
+    diagonal = _invariant_factors([{j: x for j, x in row.items() if x} for row in entries])
     return HomologySummary(
         h0_rank=components,
-        h1_rank=h1_rank,
-        h1_torsion=tuple(torsion),
+        h1_rank=len(cotree) - len(diagonal),
+        h1_torsion=tuple(d for d in diagonal if d > 1),
         euler=v - e + f,
     )
 

@@ -4,10 +4,11 @@ Invariant factors by Smith normal form over the integers, and the
 invariants of finitely presented abelian groups built on them.  No kernel
 computation lives here: ``cayley.homology`` reads cycle coordinates off a
 spanning forest of the Cayley graph and hands this module only the relation
-matrix of H1.  All arithmetic uses Python's arbitrary-precision integers;
-matrices come in as dense lists of row lists and are eliminated as sparse
-rows.  Boundary matrices are sparse and nearly all their pivots are units,
-so units go first, in Markowitz order (Dumas, Saunders and Villard, "On
+matrix of H1, as sparse rows: one {column: nonzero entry} dict per row.
+All arithmetic uses Python's arbitrary-precision integers.  The public
+functions take dense lists of row lists and hand them on as sparse rows.
+Boundary matrices are sparse and nearly all their pivots are units, so
+units go first, in Markowitz order (Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations", JSC 2001);
 the same elimination takes a smallest entry as its pivot when no unit is
 left.
@@ -30,16 +31,19 @@ Matrix = list[list[int]]
 
 def smith_normal_form(a: Matrix) -> list[int]:
     """Invariant factors of an integer matrix: the positive nonzero diagonal
-    d_1 | d_2 | ... of its Smith normal form, whose length is the rank.
-
-    ``_pivots`` diagonalizes the matrix; diag(x, y) ~ diag(gcd, lcm) turns
-    the pivots above 1 into a divisibility chain.  No transform is tracked;
-    nothing downstream needs one.
-    """
+    d_1 | d_2 | ... of its Smith normal form, whose length is the rank."""
     n = len(a[0]) if a else 0
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
-    pivots = _pivots(a)
+    return _invariant_factors([{j: x for j, x in enumerate(row) if x} for row in a])
+
+
+def _invariant_factors(rows: list[dict[int, int]]) -> list[int]:
+    """smith_normal_form of sparse rows, which the elimination consumes.
+    ``_pivots`` diagonalizes the matrix; diag(x, y) ~ diag(gcd, lcm) turns
+    the pivots above 1 into a divisibility chain.  No transform is tracked;
+    nothing downstream needs one."""
+    pivots = _pivots(rows)
     chain = [d for d in pivots if d != 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
@@ -54,9 +58,9 @@ def smith_normal_form(a: Matrix) -> list[int]:
     return diagonal
 
 
-def _pivots(a: Matrix) -> list[int]:
-    """Magnitudes of the pivots of a sparse diagonalization of ``a``, which
-    is left untouched.
+def _pivots(rows: list[dict[int, int]]) -> list[int]:
+    """Magnitudes of the pivots of a sparse diagonalization of ``rows``,
+    which it works on in place.
 
     The pivot is a ±1 entry while any is left, least fill-in first: a step
     writes at most (|column c| - 1)·(|row r| - 1) entries (the Markowitz
@@ -68,12 +72,10 @@ def _pivots(a: Matrix) -> list[int]:
     out and leave the pivot |u|; otherwise a remainder smaller than |u|
     is left, and the next pivot is smaller than |u|.
     """
-    n = len(a[0]) if a else 0
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
-    cols: list[set[int]] = [set() for _ in range(n)]
+    cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
-            cols[j].add(i)
+            cols.setdefault(j, set()).add(i)
     # Rows and columns bucketed by their entry count, for the search.
     rows_by_count: dict[int, set[int]] = {}
     cols_by_count: dict[int, set[int]] = {}
@@ -89,7 +91,7 @@ def _pivots(a: Matrix) -> list[int]:
 
     for i, row in enumerate(rows):
         recount(rows_by_count, i, 0, len(row))
-    for j, col in enumerate(cols):
+    for j, col in cols.items():
         recount(cols_by_count, j, 0, len(col))
 
     def cheapest() -> tuple[int, int] | None:

@@ -6,9 +6,9 @@ its verdicts depend only on the presentation itself.  They deliberately never
 touch the rewriting engine — cross-validating that engine is their job.
 
 ``table_from_normal_forms`` is the one deliberate exception: it reads a
-multiplication table off the right action of a proven-convergent system's
-Cayley graph, then audits every group law on the result, turning engine
-bugs into loud LawViolation errors.
+multiplication table off a proven-convergent system's memoized right
+action, the one its Cayley graph reads, then audits every group law on the
+result, turning engine bugs into loud LawViolation errors.
 """
 
 from __future__ import annotations
@@ -337,72 +337,60 @@ def _right_generators(t, identity: int) -> list[int]:
     gens: list[int] = []
     while len(reached) < len(t):
         gens.append(min(x for x in range(len(t)) if x not in reached))
-        queue = list(reached)  # every reached element meets the new generator
-        while queue:
-            row = t[queue.pop()]
-            for g in gens:
-                y = row[g]
-                if y not in reached:
-                    reached.add(y)
-                    queue.append(y)
+        _close(t, reached, gens)  # every reached element meets the new generator
     return gens
+
+
+def _close(t, reached: set[int], steps: list[int]) -> set[int]:
+    """Close ``reached`` under right multiplication by ``steps``, in place."""
+    queue = list(reached)
+    while queue:
+        row = t[queue.pop()]
+        for x in steps:
+            if row[x] not in reached:
+                reached.add(row[x])
+                queue.append(row[x])
+    return reached
 
 
 def closure_generates(table: MultiplicationTable, subset) -> bool:
     """Does the subset generate the whole group?
 
-    Closes the subset under multiplication and inversion and compares the
-    closure's size with the group order.
+    It does when the closure of the identity under right multiplication by
+    the subset and its inverses, O(n·|subset|) lookups, is the whole table.
     """
-    pending = list(dict.fromkeys(subset))
-    if not pending:
+    subset = list(dict.fromkeys(subset))
+    if not subset:
         raise ValueError("the generating subset must be nonempty")
-    for x in pending:
+    for x in subset:
         if not (0 <= x < table.size):
             raise ValueError(f"index {x} is outside the table")
-    closure = set(pending)
-    while pending:
-        x = pending.pop()
-        candidates = [table.inverse[x]]
-        candidates.extend(table.table[x][y] for y in closure)
-        candidates.extend(table.table[y][x] for y in closure)
-        for c in candidates:
-            if c not in closure:
-                closure.add(c)
-                pending.append(c)
-    return len(closure) == table.size
+    steps = subset + [table.inverse[x] for x in subset]
+    return len(_close(table.table, {table.identity}, steps)) == table.size
 
 
 def table_from_normal_forms(system, cap: int = 10000) -> MultiplicationTable:
     """Multiplication table of the finite group a convergent system presents.
 
-    Elements are the shortlex normal forms w_0 = 1, w_1, ..., and the rows
-    are read off the Cayley graph's right action by every alphabet letter,
-    which normalizes at most n·|alphabet| products.  Irreducible words are
-    closed under prefixes, so w_j = w_parent(j) · x for its last letter x,
-    and table[i][j] is the x-image of table[i][parent(j)]: the table itself
-    is n² lookups.  The MultiplicationTable constructor then re-checks every
-    group law, so a defective system cannot produce a quiet wrong answer.
+    Elements are the shortlex normal forms w_0 = 1, w_1, ..., and the table
+    reads the system's memoized right action, which the Cayley graph shares:
+    a letter's column normalizes at most n products, once per system.  Since
+    w_j = w_parent(j) · x for its last letter x, right multiplication by w_j
+    is that by w_parent(j), then x's column: the table is n² lookups.  The
+    MultiplicationTable constructor then re-checks every group law, so a
+    defective system cannot produce a quiet wrong answer.
     """
-    from .cayley import _right_action
-
-    words, action = _right_action(system, range(len(system.alphabet)), cap)
-    index = {w: j for j, w in enumerate(words)}
-    prefixes = [(index[w[:-1]], w[-1]) for w in words[1:]]
+    action = system._action(cap)
+    words = action.words
+    times = [list(range(len(words)))]  # times[j][i]: the index of w_i · w_j
+    for word in words[1:]:
+        parent = times[action.index[word[:-1]]]
+        times.append(list(map(action.column(word[-1]).__getitem__, parent)))
+    table = tuple(zip(*times))
     identity = 0  # the empty word is shortlex-first
-    n = len(words)
-    table: list[tuple[int, ...]] = []
-    for i in range(n):
-        row = [i]
-        for parent, x in prefixes:
-            row.append(action[row[parent]][x])
-        table.append(tuple(row))
-    inverse = [0] * n
-    for i in range(n):
-        matches = [j for j in range(n) if table[i][j] == identity]
-        if len(matches) != 1:
-            raise LawViolation(f"element {i} has {len(matches)} right inverses")
-        inverse[i] = matches[0]
-    return MultiplicationTable(
-        size=n, table=tuple(table), identity=identity, inverse=tuple(inverse)
-    )
+    inverse = []
+    for i, row in enumerate(table):
+        if row.count(identity) != 1:
+            raise LawViolation(f"element {i} has {row.count(identity)} right inverses")
+        inverse.append(row.index(identity))
+    return MultiplicationTable(len(words), table, identity, tuple(inverse))

@@ -46,6 +46,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 
 from .errors import (
+    InfiniteOrUnknown,
     InternalError,
     MultiObjectUnsupported,
     NotConvergent,
@@ -215,6 +216,22 @@ class RewritingSystem:
     def _matcher(self) -> _Matcher:
         """The compiled rule index every query on this system shares."""
         return _Matcher(self.rules)
+
+    def _action(self, cap: int) -> _RightAction:
+        """The right action on the normal forms (see _RightAction), memoized
+        like ``_matcher``.  NotConvergent on an unproven system; InfiniteOrUnknown
+        past ``cap`` normal forms, whatever an earlier caller's cap listed."""
+        action = self.__dict__.get("_right_action")
+        if action is None:
+            words = _normal_form_bytes(self, cap)
+            if not isinstance(words, MoreThanCap):
+                action = self.__dict__["_right_action"] = _RightAction(self, words)
+        if action is None or len(action.words) > cap:
+            raise InfiniteOrUnknown(
+                f"presentation has more than {cap} normal forms; "
+                "raise the cap if the group really is finite"
+            )
+        return action
 
     def word_bytes(self, word) -> bytes:
         """Encode a Word, word text, or bytes into internal letters."""
@@ -856,6 +873,38 @@ def _normal_form_bytes(system: RewritingSystem, cap: int) -> list[bytes] | MoreT
             words.append(stem + bytes((letter,)))
             states.append(after)
     return words
+
+
+class _RightAction:
+    """The shortlex normal forms w_0 = 1, w_1, ... of a finite proven system,
+    their ``index``, and per letter x a column whose i-th entry is the index
+    of nf(w_i · x), filled on first demand.  A product w_i · x that is itself
+    irreducible is its own normal form, so only the others are rewritten."""
+
+    def __init__(self, system: RewritingSystem, words: list[bytes]):
+        self.words = words
+        self.index = {word: i for i, word in enumerate(words)}
+        # The matcher and letters, not the system: no cycle through its memo.
+        self._matcher, self._letters = system._matcher, system.alphabet.letters
+        self._columns: list[list[int] | None] = [None] * len(self._letters)
+
+    def column(self, x: int) -> list[int]:
+        column = self._columns[x]
+        if column is None:
+            index, letter, column = self.index, bytes((x,)), []
+            for word in self.words:
+                product = word + letter
+                if product not in index:
+                    product = self._matcher.normalize(product, DEFAULT_MAX_STEPS)
+                    if product not in index:
+                        text = " ".join(self._letters[b] for b in word) or "1"
+                        raise InternalError(
+                            f"normalize({text!r} * {self._letters[x]}) "
+                            "left the normal-form set"
+                        )
+                column.append(index[product])
+            self._columns[x] = column
+        return column
 
 
 def word_equal(system: RewritingSystem, u, v) -> bool:

@@ -834,3 +834,55 @@ def run_text_encoding_suite(seed: int = 0, cases: int = 1000) -> int:
         expected = _read_outcome(lambda t: alphabet.encode_runs(scan_word(t)), text)
         assert got == expected, (text, got, expected)
     return cases
+
+
+# ------------------------------------------------------- group-table references
+
+
+def structure_deck() -> dict[str, str]:
+    """The presentations of the benchmark's ``structure`` deck, written as it
+    writes them but with fixed generator names: D_n balanced for n = 4 to
+    30, Z_m x Z_n at its 18 sizes, S3 and S4 as Coxeter groups, A5 and Q8."""
+    deck = {}
+    for n in (k + d for k in range(4, 29, 4) for d in range(3)):
+        deck[f"D{n}"] = f"< r, s | r^{(n + 1) // 2} = r^-{n // 2}, s = s', r s = s' r' >"
+    for m, n in [
+        (2, 3), (2, 4), (3, 3), (3, 4), (2, 6), (4, 4), (4, 6), (5, 5), (3, 8),
+        (5, 7), (6, 6), (4, 9), (6, 8), (7, 7), (5, 10), (7, 8), (6, 9), (5, 11),
+    ]:
+        deck[f"Z{m}xZ{n}"] = f"< a, b | a^{m} = 1, b^{n} = 1, a b = b a >"
+    deck["S3"] = "< a, b | a^2 = 1, b^2 = 1, a b a = b a b >"
+    deck["S4"] = (
+        "< a, b, c | a^2 = 1, b^2 = 1, c^2 = 1, a b a = b a b, a c = c a, b c b = c b c >"
+    )
+    deck["A5"] = "< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >"
+    deck["Q8"] = "< i, j | i = j i j, j = i j i >"
+    return deck
+
+
+def structure_systems() -> dict[str, tuple[Polygraph, RewritingSystem]]:
+    """Each structure-deck presentation with its completed system."""
+    systems = {}
+    for name, text in structure_deck().items():
+        p = presentations.parse(text)
+        out = complete(encode(p))
+        assert isinstance(out, Converged), name
+        systems[name] = (p, out.system)
+    return systems
+
+
+def reference_closure_generates(table, subset) -> bool:
+    """closure_generates as it was first written: close the subset under
+    products and inverses, O(n²) lookups per element reached."""
+    pending = list(dict.fromkeys(subset))
+    closure = set(pending)
+    while pending:
+        x = pending.pop()
+        candidates = [table.inverse[x]]
+        candidates.extend(table.table[x][y] for y in closure)
+        candidates.extend(table.table[y][x] for y in closure)
+        for c in candidates:
+            if c not in closure:
+                closure.add(c)
+                pending.append(c)
+    return len(closure) == table.size

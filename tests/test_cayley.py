@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import props
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -30,10 +32,13 @@ from polygraph.errors import (
     NotConvergent,
     UnknownGenerator,
 )
+from polygraph import cayley
 from polygraph import homology as homology_module
 from polygraph import rewriting
+from polygraph.homology import quotient_invariants
+from polygraph.oracle import table_from_normal_forms
 from polygraph.presentations import parse
-from polygraph.rewriting import format_system, normalize, parse_system
+from polygraph.rewriting import certify, format_system, normalize, parse_system
 
 # One vertex, one loop a, and a disk glued along a a: the projective plane's
 # cell structure, with H1 = Z/2.
@@ -98,6 +103,21 @@ def sympy_rank_and_factors(a, rows, cols):
     return m.rank(), factors
 
 
+def dense_homology(c):
+    """homology with the relation matrix written out densely, cotree edges by
+    faces, and handed to quotient_invariants."""
+    tree, components = cayley._spanning_forest(c.graph)
+    cotree = [i for i in range(len(c.graph.edges)) if not tree[i]]
+    relations = [[0] * len(c.faces) for _ in cotree]
+    for j, face in enumerate(c.faces):
+        for ref in face.boundary:
+            if not tree[abs(ref) - 1]:
+                relations[cotree.index(abs(ref) - 1)][j] += 1 if ref > 0 else -1
+    h1_rank, torsion = quotient_invariants(len(cotree), relations)
+    v, e, f = len(c.graph.vertices), len(c.graph.edges), len(c.faces)
+    return HomologySummary(components, h1_rank, tuple(torsion), v - e + f)
+
+
 class TestBuildGraph:
     def test_cyclic_five_vertices_are_the_shortlex_normal_forms(
         self, z5, z5_system
@@ -148,6 +168,8 @@ class TestBuildGraph:
     def test_only_reducible_products_are_normalized(
         self, monkeypatch, d5, d5_system
     ):
+        # A fresh copy: the session fixture's action may be filled already.
+        d5_system = certify(d5_system)
         calls = []
         normalize_word = rewriting._Matcher.normalize
 
@@ -162,12 +184,56 @@ class TestBuildGraph:
     def test_a_product_outside_the_normal_forms_is_an_internal_error(
         self, monkeypatch, z5, z5_system
     ):
+        z5_system = certify(z5_system)
         # A "normalization" that rewrites nothing leaves a a a a irreducible.
         monkeypatch.setattr(
             rewriting._Matcher, "normalize", lambda matcher, word, max_steps: word
         )
         with pytest.raises(InternalError, match="left the normal-form set"):
             build_graph(z5, z5_system)
+
+
+class TestOneRightAction:
+    def test_a_complex_and_a_table_list_and_normalize_once(self, monkeypatch, d5, d5_system):
+        # A fresh copy: the session fixture's action may be filled already.
+        system = certify(d5_system)
+        listings, products = [], []
+        listing, normalize_word = rewriting._normal_form_bytes, rewriting._Matcher.normalize
+
+        def counting_listing(system, cap):
+            listings.append(cap)
+            return listing(system, cap)
+
+        def counting(matcher, word, max_steps):
+            products.append(word)
+            return normalize_word(matcher, word, max_steps)
+
+        monkeypatch.setattr(rewriting, "_normal_form_bytes", counting_listing)
+        monkeypatch.setattr(rewriting._Matcher, "normalize", counting)
+        build_complex(d5, system)
+        t = table_from_normal_forms(system)
+        assert listings == [10000]
+        # A product w_i · x names its element and letter.
+        assert 0 < len(products) == len(set(products)) <= t.size * len(system.alphabet)
+
+    def test_a_smaller_cap_on_a_memoized_system_is_refused(self, q8, q8_system):
+        system = certify(q8_system)
+        assert len(build_graph(q8, system).vertices) == 8
+        with pytest.raises(InfiniteOrUnknown, match="more than 7 normal forms"):
+            build_graph(q8, system, cap=7)
+        with pytest.raises(InfiniteOrUnknown, match="more than 7 normal forms"):
+            table_from_normal_forms(system, cap=7)
+        assert build_graph(q8, system, cap=8) == build_graph(q8, q8_system)
+
+    def test_copies_start_with_no_memo(self, z5, z5_system):
+        system = certify(z5_system)
+        build_graph(z5, system)
+        assert "_right_action" in vars(system)
+        replaced = dataclasses.replace(system)
+        assert "_right_action" not in vars(replaced)
+        with pytest.raises(NotConvergent):
+            build_graph(z5, replaced)
+        assert "_right_action" not in vars(certify(system))
 
 
 class TestGraphInvariants:
@@ -304,6 +370,12 @@ class TestHomology:
             summary = homology(build_complex(p, system))
             assert (summary.h0_rank, summary.h1_rank, summary.h1_torsion) == (1, 0, ())
         assert answers == [None] * 5
+
+    def test_sparse_rows_equal_the_dense_relation_matrix(self):
+        complexes = [DOUBLED_LOOP, TORUS, TWO_COMPONENTS]
+        complexes += [build_complex(p, s) for p, s in props.structure_systems().values()]
+        for c in complexes:
+            assert homology(c) == dense_homology(c)
 
     def test_summaries_agree_with_sympy_on_dense_boundaries(
         self, z5, d5, q8, z5_system, d5_system, q8_system

@@ -111,6 +111,11 @@ def planted(rng: random.Random) -> list[list[int]]:
     return [[row[j] for j in order] for row in a]
 
 
+def sparse(a: list[list[int]]) -> list[dict[int, int]]:
+    """The sparse rows the elimination takes: {column: nonzero entry} each."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
 @pytest.fixture
 def fallbacks(monkeypatch):
     """Each call of the elimination's smallest-entry fallback, as (whether a
@@ -136,11 +141,11 @@ class TestSparseUnitElimination:
             before = [row[:] for row in a]
             expected = sympy_factors(a)
             assert smith_normal_form(a) == expected, a
-            # The elimination leaves the input alone, takes one pivot per
-            # invariant factor, and pivots on a non-unit only once no unit
-            # entry is left.
-            pivots = homology._pivots(a)
+            # smith_normal_form leaves its input alone; the elimination takes
+            # one pivot per invariant factor, and pivots on a non-unit only
+            # once no unit entry is left.
             assert a == before
+            pivots = homology._pivots(sparse(a))
             assert len(pivots) == len(expected)
             eliminated += pivots.count(1)
         assert not any(unit_left for unit_left, _ in fallbacks)
@@ -159,13 +164,13 @@ class TestSparseUnitElimination:
         # row-major first unit at (0, 0) costs two and would leave the
         # unit-free [[-2, -3]], which needs a non-unit pivot.
         a = [[1, 1, 2], [2, 0, 1]]
-        assert homology._pivots(a) == [1, 1]
+        assert homology._pivots(sparse(a)) == [1, 1]
         assert smith_normal_form(a) == [1, 1]
         # A unit in a short row can still lose to one in a longer row with a
         # shorter column; stopping the search at the first entry count that
         # holds a unit would leave [[2, 5, 2, 3, -2]] here.
         a = [[0, 0, 0, 3, 3, 0, -1], [0, 1, -1, 2, 2, 1, -1], [2, 3, 2, 2, 3, 1, -1]]
-        assert homology._pivots(a) == [1, 1, 1]
+        assert homology._pivots(sparse(a)) == [1, 1, 1]
         # Each elimination asks for a smallest entry once, when none is left.
         assert fallbacks == [(False, None)] * 3
 

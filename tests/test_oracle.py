@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import props
 from conftest import completed, load, note
 from polygraph import oracle, rewriting
 from polygraph.errors import (
@@ -33,6 +34,7 @@ from polygraph.oracle import (
 from polygraph.presentations import parse
 from polygraph.rewriting import (
     Converged,
+    certify,
     complete,
     encode,
     enumerate_normal_forms,
@@ -439,6 +441,10 @@ class TestTableFromTheCayleyGraph:
         if name == "idempotent":
             assert found == "element 1 has 0 right inverses"
 
+    def test_equals_the_table_of_normalized_products_on_the_structure_deck(self):
+        for name, (_, system) in props.structure_systems().items():
+            assert table_from_normal_forms(system) == reference_table(system), name
+
     def test_normalizes_at_most_one_product_per_element_and_letter(
         self, monkeypatch
     ):
@@ -457,6 +463,7 @@ class TestTableFromTheCayleyGraph:
     def test_a_product_outside_the_normal_forms_is_an_internal_error(
         self, monkeypatch, z5_system
     ):
+        z5_system = certify(z5_system)  # the fixture's action may be filled already
         monkeypatch.setattr(
             rewriting._Matcher, "normalize", lambda matcher, word, max_steps: word
         )
@@ -538,6 +545,27 @@ class TestClosureGenerates:
             for i in range(t.size)
             for j in range(i + 1, t.size)
         )
+
+    def test_agrees_with_the_closure_under_products_on_the_structure_deck(self):
+        # The generators' normal forms generate each deck group; seeded
+        # subsets of one to three elements often generate a proper subgroup.
+        rng = random.Random(16)
+        tables = []
+        for p, system in props.structure_systems().values():
+            t = table_from_normal_forms(system)
+            words = enumerate_normal_forms(system).words
+            gens = [words.index(rewriting.normalize(system, g)) for g in p.gens]
+            assert closure_generates(t, gens)
+            assert props.reference_closure_generates(t, gens)
+            tables.append(t)
+        proper = 0
+        for _ in range(200):
+            t = rng.choice(tables)
+            subset = [rng.randrange(t.size) for _ in range(rng.randint(1, 3))]
+            found = closure_generates(t, subset)
+            assert found == props.reference_closure_generates(t, subset), subset
+            proper += not found
+        assert 50 < proper < 150
 
     def test_rejects_an_empty_subset(self, z5_system):
         t = table_from_normal_forms(z5_system)

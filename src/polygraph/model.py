@@ -23,7 +23,7 @@ move you must spend a node on, never a silent identification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import IllTyped, TietzeError, UnknownCell
 from .words import Letter, Word, format_word, parse_word
@@ -185,20 +185,11 @@ class Derivation:
         return True
 
     def __hash__(self) -> int:
-        hashes: dict[int, int] = {}  # id(node) -> hash, for finished subtrees
-        todo: list[tuple[Derivation, bool]] = [(self, False)]  # (node, parts done?)
-        while todo:
-            node, ready = todo.pop()
-            if id(node) in hashes:
-                continue
-            parts = node._parts()
-            if not ready:
-                todo.append((node, True))
-                todo.extend((x, False) for x in parts if isinstance(x, Derivation))
-                continue
+        hashes: dict[int, int] = {}  # id(node) -> hash
+        for node in _postorder(self):
             hashes[id(node)] = hash(
                 (type(node),)
-                + tuple(hashes[id(x)] if isinstance(x, Derivation) else x for x in parts)
+                + tuple(hashes[id(x)] if isinstance(x, Derivation) else x for x in node._parts())
             )
         return hashes[id(self)]
 
@@ -211,21 +202,29 @@ class Derivation:
         row, so it stays shared in the rebuilt tree."""
         rows: list[tuple[type, tuple, tuple[int, ...]]] = []  # (class, parts, child slots)
         row_of: dict[int, int] = {}  # id(node) -> its row
-        todo: list[tuple[Derivation, bool]] = [(self, False)]  # (node, parts done?)
-        while todo:
-            node, ready = todo.pop()
-            if id(node) in row_of:
-                continue
+        for node in _postorder(self):
             parts = node._parts()
-            if not ready:
-                todo.append((node, True))
-                todo.extend((x, False) for x in parts if isinstance(x, Derivation))
-                continue
             slots = tuple(k for k, x in enumerate(parts) if isinstance(x, Derivation))
             parts = tuple(row_of[id(x)] if k in slots else x for k, x in enumerate(parts))
             row_of[id(node)] = len(rows)
             rows.append((type(node), parts, slots))
         return _rebuild, (rows,)
+
+
+def _postorder(d: Derivation) -> Iterator[Derivation]:
+    """Each distinct node of ``d`` once, children first and left to right,
+    walked with an explicit stack; parts that are not derivations are
+    passed over."""
+    done: set[int] = set()  # id(node) of the nodes yielded
+    todo: list[tuple[object, bool]] = [(d, False)]  # (node, parts done?)
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            done.add(id(node))
+            yield node
+        elif isinstance(node, Derivation) and id(node) not in done:
+            todo.append((node, True))
+            todo.extend((x, False) for x in reversed(node._parts()))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -319,44 +318,41 @@ def boundary(p: Polygraph, d: Derivation) -> Sphere:
 
     Raises UnknownCell if a leaf names a missing relation or generator, and
     IllTyped if a composition does not line up (horizontal endpoints, or the
-    literal middle word of a vertical composition).  The tree is walked with
-    an explicit stack, so its depth is not bounded by the recursion limit.
+    literal middle word of a vertical composition), each subtree before its
+    parent and the left one first.  The tree is walked with an explicit
+    stack, so its depth is not bounded by the recursion limit, and a subtree
+    shared by reference is checked once.
     """
-    done: list[Sphere] = []  # boundaries of finished subtrees, left to right
-    todo: list[tuple[Derivation, bool]] = [(d, False)]  # (node, parts done?)
-    while todo:
-        node, ready = todo.pop()
+    spheres: dict[int, Sphere] = {}  # id(node) -> its boundary
+
+    def sphere(part: object) -> Sphere:
+        if not isinstance(part, Derivation):
+            raise IllTyped(f"not a derivation node: {part!r}")
+        return spheres[id(part)]
+
+    for node in _postorder(d):
         if isinstance(node, Inv):
-            if not ready:
-                todo += [(node, True), (node.inner, False)]
-                continue
-            lhs, rhs = done.pop()
-            done.append((rhs, lhs))
+            lhs, rhs = sphere(node.inner)
+            spheres[id(node)] = (rhs, lhs)
         elif isinstance(node, Horiz):
-            if not ready:
-                todo += [(node, True), (node.right, False), (node.left, False)]
-                continue
-            (rlhs, rrhs), (llhs, lrhs) = done.pop(), done.pop()
+            (llhs, lrhs), (rlhs, rrhs) = sphere(node.left), sphere(node.right)
             if llhs.tgt != rlhs.src:
                 raise IllTyped(
                     f"horizontal composition: left ends at {llhs.tgt!r},"
                     f" right starts at {rlhs.src!r}"
                 )
-            done.append((llhs.concat(rlhs), lrhs.concat(rrhs)))
+            spheres[id(node)] = (llhs.concat(rlhs), lrhs.concat(rrhs))
         elif isinstance(node, Vert):
-            if not ready:
-                todo += [(node, True), (node.second, False), (node.first, False)]
-                continue
-            (slhs, srhs), (flhs, frhs) = done.pop(), done.pop()
+            (flhs, frhs), (slhs, srhs) = sphere(node.first), sphere(node.second)
             if frhs != slhs:
                 raise IllTyped(
                     f"vertical composition: middle words differ"
                     f" ({format_word(frhs)} vs {format_word(slhs)})"
                 )
-            done.append((flhs, srhs))
+            spheres[id(node)] = (flhs, srhs)
         else:
-            done.append(_leaf_boundary(p, node))
-    return done[0]
+            spheres[id(node)] = _leaf_boundary(p, node)
+    return sphere(d)
 
 
 def _leaf_boundary(p: Polygraph, d: Derivation) -> Sphere:

@@ -191,8 +191,10 @@ def bfs_equal(
     search grows two balls, one around each end, a whole layer at a time,
     always the one with fewer words on its edge (the one around u on a tie).
     It stops when they meet or their radii add up to ``radius``; the letter
-    bound covers both.  Cancellation ignores the cap, so when an end is
-    longer than the cap the search grows one ball, from u, instead.
+    bound covers both.  Every move but cancellation lands within the cap,
+    and a reduced word allows no cancellation.  So a v beyond the cap is
+    reached only when it is u, and a u beyond it is left at its first move,
+    which the ball around u makes first.
     """
     space = p if isinstance(p, SearchSpace) else SearchSpace(p)
     u, v = space._word(u), space._word(v)
@@ -200,28 +202,27 @@ def bfs_equal(
     goal = space.encode(v.reduce())
     if length_cap is None:
         length_cap = default_length_cap(len(u), len(v), radius)
+    if len(goal) > length_cap:
+        return Equal(0) if start == goal else NotWithinRadius()
     try:
-        if max(len(start), len(goal)) <= length_cap:
-            steps = _meet(space, start, goal, radius, length_cap)
-            return NotWithinRadius() if steps is None else Equal(steps)
-        for state, depth in _search(space, start, radius, length_cap):
-            if state == goal:
-                return Equal(depth)
+        path = _meet(space, start, goal, radius, length_cap)
     except SearchLimitExceeded:
         return NotWithinRadius("max_search_letters")
-    return NotWithinRadius()
+    return NotWithinRadius() if path is None else Equal(len(path) - 1)
 
 
 def _meet(
     space: SearchSpace, start: _State, goal: _State, radius: int, length_cap: int
-) -> int | None:
-    """The fewest moves from ``start`` to ``goal`` if at most ``radius``, by
-    growing a ball around each (see bfs_equal); None if the balls never meet.
+) -> list[_State] | None:
+    """A shortest chain of words from ``start`` to ``goal``, each one move
+    from the next, if it takes at most ``radius`` moves, found by growing a
+    ball around each end (see bfs_equal); None if the balls never meet.
     Raises SearchLimitExceeded once the two hold more than
     MAX_SEARCH_LETTERS letters."""
     if start == goal:
-        return 0
-    balls = ({start}, {goal})
+        return [start]
+    # Each ball maps a word to the word it was reached from; its centre to None.
+    balls: tuple[dict[_State, _State | None], ...] = ({start: None}, {goal: None})
     edges = [[start], [goal]]
     letters = len(start) + len(goal)
     radii = [0, 0]
@@ -237,16 +238,26 @@ def _meet(
                 if child in other:
                     # The balls were apart, so every chain is longer than
                     # their radii before this layer: this one is shortest.
-                    return radii[0] + radii[1]
+                    ball[child] = state
+                    return _back(balls[0], child)[::-1] + _back(balls[1], child)[1:]
                 letters += len(child)
                 if letters > MAX_SEARCH_LETTERS:
                     raise SearchLimitExceeded(
                         f"the words searched hold more than {MAX_SEARCH_LETTERS} letters"
                     )
-                ball.add(child)
+                ball[child] = state
                 edge.append(child)
         edges[side] = edge
     return None
+
+
+def _back(ball: dict[_State, _State | None], state: _State | None) -> list[_State]:
+    """The words from ``state`` back to its ball's centre."""
+    path: list[_State] = []
+    while state is not None:
+        path.append(state)
+        state = ball[state]
+    return path
 
 
 def _search(

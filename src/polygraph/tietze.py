@@ -8,8 +8,9 @@ under the symmetric side conditions.  ``verify`` checks a step without
 applying it, ``apply`` refuses unverified steps, ``transport`` pushes words
 forward through a script, and ``parse_script`` reads the .tz text format.
 
-``synthesize_witness`` searches for a derivation by breadth-first search over
-raw words, recording each move as a whiskered rewrite; it exists so T2/InvT2
+``synthesize_witness`` finds a derivation with ``oracle.bfs_equal``'s search,
+which grows a ball of raw words around each end until they meet, and replays
+each step of the chain found as a whiskered rewrite; it exists so T2/InvT2
 witnesses can be found mechanically when they are small.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, SourceSpan, TietzeError, UnknownGenerator
+from .errors import ParseError, SearchLimitExceeded, SourceSpan, TietzeError, UnknownGenerator
 from .model import (
     CancelLeft,
     CancelRight,
@@ -35,8 +36,8 @@ from .model import (
     chain,
     step as whisker,
 )
-from .oracle import Move, SearchSpace, default_length_cap
-from .words import Letter, Word, format_word, parse_word
+from .oracle import SearchSpace, _meet, default_length_cap
+from .words import Letter, Word, format_word, scan_terms, word_of_runs
 
 __all__ = [
     "T0",
@@ -383,8 +384,8 @@ def format_derivation(d: Derivation) -> str:
     return _sexpr(d)
 
 
-def _split_tokens(text: str, line: int) -> list[tuple[str, int]]:
-    """Tokens with column positions; parentheses separate, spaces delimit."""
+def _split_tokens(text: str) -> list[tuple[str, int]]:
+    """Tokens with their columns in ``text``; parentheses separate, spaces delimit."""
     tokens: list[tuple[str, int]] = []
     i = 0
     while i < len(text):
@@ -475,13 +476,8 @@ class _SexprParser:
             self._expect(")")
             return CancelLeft(gen) if head == "lam" else CancelRight(gen)
         if head == "id":
-            parts: list[str] = []
-            token, word_col = self._take()
-            while token != ")":
-                parts.append(token)
-                token, _ = self._take()
-            at = self.p.cells0[0] if len(self.p.cells0) == 1 else None
-            word = parse_word(" ".join(parts), self.p.gens, at=at, line=self.line, column=word_col)
+            word, self.pos = _word_until(self.tokens, self.pos, {")"}, self.p, self.line)
+            self._expect(")")
             return Id(word)
         raise ParseError(
             f"unknown derivation head {head!r}", SourceSpan(self.line, col)
@@ -490,7 +486,7 @@ class _SexprParser:
 
 def parse_derivation(text: str, p: Polygraph, line: int = 1) -> Derivation:
     """Parse one derivation s-expression over the given polygraph."""
-    return _SexprParser(_split_tokens(text, line), line, p).parse()
+    return _SexprParser(_split_tokens(text), line, p).parse()
 
 
 # ------------------------------------------------------------- .tz scripts
@@ -506,15 +502,15 @@ def _fresh_rel_name(p: Polygraph, base: str) -> str:
 
 
 def _word_until(tokens, start, stops, p: Polygraph, line: int) -> tuple[Word, int]:
-    parts: list[str] = []
+    """The word spelled by the tokens from ``start`` up to a stop token, each
+    term read at its own column, and the index where it ends."""
     i = start
     while i < len(tokens) and tokens[i][0] not in stops:
-        parts.append(tokens[i][0])
         i += 1
     at = p.cells0[0] if len(p.cells0) == 1 else None
     column = tokens[start][1] if start < len(tokens) else 1
-    word = parse_word(" ".join(parts), p.gens, at=at, line=line, column=column)
-    return word, i
+    runs = scan_terms([(text, line, col) for text, col in tokens[start:i]])
+    return word_of_runs(runs, p.gens, at, SourceSpan(line, column)), i
 
 
 def parse_script(text: str, p: Polygraph) -> list[TietzeStep]:
@@ -541,13 +537,12 @@ def _elaborate(text: str, p: Polygraph) -> tuple[list[TietzeStep], Polygraph]:
     steps: list[TietzeStep] = []
     here = p
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        tokens = _split_tokens(raw.split("#", 1)[0])
+        if not tokens:
             continue
-        tokens = _split_tokens(stripped, line_no)
         head = tokens[0][0]
 
-        def err(message: str, col: int = 1) -> ParseError:
+        def err(message: str, col: int = tokens[0][1]) -> ParseError:
             return ParseError(message, SourceSpan(line_no, col))
 
         if head == "T0":
@@ -631,44 +626,37 @@ def synthesize_witness(
     target: Word,
     *,
     radius: int = 8,
-    max_states: int = 200_000,
     length_cap: int | None = None,
 ) -> Derivation | None:
     """Search for a derivation with boundary exactly (source, target).
 
-    Breadth-first search over raw words with the moves of
-    ``oracle.SearchSpace``: a relation applied at a position (either
-    direction), a cancellation of an adjacent inverse pair, or an insertion
-    of one.  Each move on the path found is replayed as a whiskered rewrite
-    and the chain is the witness, so the result always boundary-checks.
-    Returns None when no derivation appears within the limits.
+    The search is bfs_equal's, run on the ends as given: a ball grown around
+    each over the moves of ``oracle.SearchSpace`` (a relation applied at a
+    position in either direction, a cancellation of an adjacent inverse
+    pair, or an insertion of one) until they meet.  Each step of the chain
+    of words found is replayed as a whiskered rewrite and the chain of those
+    is the witness, so the result always boundary-checks.  Returns None when
+    no derivation appears within the radius and length cap, or once the
+    words searched hold more than ``oracle.MAX_SEARCH_LETTERS`` letters.
     """
     if len(p.cells0) != 1:
         raise TietzeError("witness synthesis handles single-0-cell presentations")
     space = SearchSpace(p)
     if length_cap is None:
         length_cap = default_length_cap(len(source), len(target), radius)
-    start, goal = space.encode(source), space.encode(target)
-    parents: dict[str, tuple[str, Move] | None] = {start: None}
-    frontier = [start]
-    for _ in range(radius):
-        if goal in parents or len(parents) > max_states:
-            break
-        next_frontier: list[str] = []
-        for state in frontier:
-            for child, move in space.moves(state, length_cap):
-                if child not in parents:
-                    parents[child] = (state, move)
-                    next_frontier.append(child)
-            if goal in parents or len(parents) > max_states:
-                break
-        frontier = next_frontier
-    if goal not in parents:
+    try:
+        path = _meet(space, space.encode(source), space.encode(target), radius, length_cap)
+    except SearchLimitExceeded:
+        return None
+    if path is None:
         return None
     steps: list[Derivation] = []
-    state = goal
-    while parents[state] is not None:
-        state, (kind, i, what) = parents[state]
+    for here, there in zip(path, path[1:]):
+        # Every move can be undone, so the one the search took either way
+        # is among the moves from here that stay within there's length.
+        kind, i, what = next(
+            move for child, move in space.moves(here, len(there)) if child == there
+        )
         if kind == "rel":
             rel, sign = what
             core: Derivation = Gen(rel, sign)
@@ -678,7 +666,5 @@ def synthesize_witness(
             span = 2
             if kind == "insert":
                 core, span = Inv(core), 0
-        steps.append(whisker(p, space.decode(state[:i]), core, space.decode(state[i + span :])))
-    if not steps:
-        return Id(source)
-    return chain(reversed(steps))
+        steps.append(whisker(p, space.decode(here[:i]), core, space.decode(here[i + span :])))
+    return chain(steps) if steps else Id(source)

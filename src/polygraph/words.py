@@ -40,6 +40,7 @@ __all__ = [
     "scan_word",
     "scan_terms",
     "expand_runs",
+    "word_of_runs",
     "format_word",
     "IDENT_RE",
     "MAX_WORD_LETTERS",
@@ -271,12 +272,16 @@ def parse_word(
     ``line``/``column`` seed error locations when the text is embedded in a
     larger file.
     """
-    letters = expand_runs(scan_word(text, line, column), gens)
+    return word_of_runs(scan_word(text, line, column), gens, at, SourceSpan(line, column))
+
+
+def word_of_runs(runs: list[Run], gens: GenMap, at: str | None, span: SourceSpan) -> Word:
+    """The Word of scanned runs over ``gens``, as parse_word reads it; ``span``
+    locates the errors of the word as a whole."""
+    letters = expand_runs(runs, gens)
     if not letters and at is None:
-        raise ParseError(
-            "identity word needs a 0-cell from context", SourceSpan(line, column)
-        )
+        raise ParseError("identity word needs a 0-cell from context", span)
     try:
         return Word.from_letters(letters, gens, at=at)
     except EndpointMismatch as exc:
-        raise ParseError(str(exc), SourceSpan(line, column)) from exc
+        raise ParseError(str(exc), span) from exc

@@ -670,8 +670,9 @@ def run_prime_pair_suite(systems: list[RewritingSystem]) -> tuple[int, int]:
 
 # ------------------------------------------------------------ word grammar
 #
-# Four entry points read word text: parse_word, a .plg relation side,
-# RewritingSystem.word_bytes, and a parse_system rule line.  Each reader
+# Five entry points read word text: parse_word, a .plg relation side,
+# RewritingSystem.word_bytes, a parse_system rule line, and the word of a
+# .tz identity witness, read after an indent and a two-space gap.  Each reader
 # below embeds the text where that entry point meets it and returns the
 # letters it read, as bytes over the group encoding of _GRAMMAR_P; next to
 # it is where the text starts in that embedding, as (line, column).
@@ -682,6 +683,7 @@ _PLG_HEAD = "< a, b, c1 | "
 # One letter longer than any word read here, so the rule always decreases
 # shortlex whatever its right side reads as.
 _SYSTEM_HEAD = f"a^{_GRAMMAR_MAX_LEN + 1} -> "
+_TZ_HEAD = "  (id  "
 
 
 def _read_word(text: str) -> bytes:
@@ -702,11 +704,17 @@ def _read_system(text: str) -> bytes:
     return parse_system(f"order: {order}\n{_SYSTEM_HEAD}{text}\n").rules[0].rhs
 
 
+def _read_tz(text: str) -> bytes:
+    witness = tietze.parse_derivation(f"{_TZ_HEAD}{text})", _GRAMMAR_P)
+    return encode(_GRAMMAR_P).word_bytes(witness.word)
+
+
 WORD_READERS = {
     "parse_word": (_read_word, (1, 1)),
     "plg": (_read_plg, (1, len(_PLG_HEAD) + 1)),
     "word_bytes": (_read_bytes, (1, 1)),
     "parse_system": (_read_system, (2, len(_SYSTEM_HEAD) + 1)),
+    "tz": (_read_tz, (1, len(_TZ_HEAD) + 1)),
 }
 
 
@@ -716,6 +724,7 @@ BAD_SPELLINGS = [
     ("a^+2", "a^+2"),
     ("a ^2", "^2"),
     ("a ' b", "'"),
+    ("b  a  ^2", "^2"),
     ("a^", "a^"),
     ("1 a", "a"),
     (f"b a^{MAX_WORD_LETTERS}", f"a^{MAX_WORD_LETTERS}"),

@@ -185,3 +185,34 @@ def test_shared_subtrees_are_compared_and_hashed_once():
     assert d == e
     assert hash(d) == hash(e)
     assert d != f
+
+
+def test_boundary_checks_a_shared_subtree_once(b3):
+    # 2^40 leaves by path, 41 distinct nodes by reference: a walk that
+    # followed every path would not finish.
+    a = b3.word("a")
+    d = Id(a)
+    for _ in range(40):
+        d = Vert(d, d)
+    assert boundary(b3, d) == (a, a)
+    bad = Vert(Gen("r1", 1), Gen("r1", 1))  # middle words a b a and b a b
+    for _ in range(40):
+        bad = Horiz(bad, bad)
+    with pytest.raises(IllTyped, match="middle words differ"):
+        boundary(b3, bad)
+
+
+def test_boundary_raises_for_the_left_subtree_first(b3):
+    missing, bad_sign = Gen("nope", 1), Gen("r1", 2)
+    with pytest.raises(UnknownCell):
+        boundary(b3, Horiz(missing, bad_sign))
+    with pytest.raises(IllTyped, match="sign"):
+        boundary(b3, Vert(bad_sign, missing))
+
+
+@pytest.mark.parametrize("junk", ["junk", 3, None])
+def test_a_part_that_is_not_a_derivation_is_ill_typed(b3, junk):
+    a = Id(b3.word("a"))
+    for d in (junk, Inv(junk), Horiz(a, junk), Vert(junk, a), Vert(a, Inv(junk))):
+        with pytest.raises(IllTyped, match="not a derivation node"):
+            boundary(b3, d)

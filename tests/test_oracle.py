@@ -20,6 +20,7 @@ from polygraph.errors import (
     SearchLimitExceeded,
     UnknownGenerator,
 )
+from polygraph.model import Id, Vert, boundary
 from polygraph.oracle import (
     Equal,
     MultiplicationTable,
@@ -41,6 +42,7 @@ from polygraph.rewriting import (
     normalize_bytes,
     word_equal,
 )
+from polygraph.tietze import synthesize_witness
 from polygraph.words import Letter, Word, format_word
 
 def _one_ball(space, u, v, radius):
@@ -178,7 +180,8 @@ class TestBfs:
 
     def test_two_balls_answer_like_one(self):
         # Against a search from u alone (_search), on seeded pairs: v a
-        # random word, or u after a few moves.
+        # random word, or u after a few moves.  The same search builds the
+        # witness of an equal pair, one whiskered rewrite per move.
         rng = random.Random(17)
         steps = set()
         for name in ("z5", "d5", "q8", "b3"):
@@ -202,6 +205,15 @@ class TestBfs:
                 assert found == _one_ball(space, u, v, radius), (name, u, v, radius)
                 if isinstance(found, Equal):
                     steps.add(found.steps)
+                    p, uw, vw = space.polygraph, space._word(u), space._word(v)
+                    ends = (uw.reduce(), vw.reduce())
+                    cap = default_length_cap(len(uw), len(vw), radius)
+                    witness = synthesize_witness(p, *ends, radius=radius, length_cap=cap)
+                    assert boundary(p, witness) == ends, (name, u, v, radius)
+                    moves = 0 if isinstance(witness, Id) else 1
+                    while isinstance(witness, Vert):
+                        moves, witness = moves + 1, witness.first
+                    assert moves == found.steps, (name, u, v, radius)
         assert {0, 1, 2, 3} <= steps
 
     def test_an_unequal_search_holds_two_small_balls(self, b3):

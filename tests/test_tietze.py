@@ -5,12 +5,13 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
 import props
 from conftest import DATA, load
-from polygraph import tietze
+from polygraph import oracle, tietze
 from polygraph.errors import ParseError, TietzeError, UnknownGenerator
 from polygraph.model import Gen, Horiz, Id, Inv, Vert, boundary, chain, euler_data
 from polygraph.oracle import SearchSpace
@@ -428,6 +429,25 @@ class TestParseScript:
             parse_script("T2 r : a b a = b a b", b3)
         with pytest.raises(ParseError, match="T1 syntax"):
             parse_script("T1 c = b a", b3)
+        with pytest.raises(ParseError, match="unknown step 'T9'") as err:
+            parse_script("   T9 x", b3)
+        assert err.value.span.column == 4  # the step's head, after the indent
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "T1 c := a    b zz",
+            "   T1 c := a b zz",
+            "T2 r : a b a =  b  zz WITNESS (gen r1 +)",
+            "T2 r : a b a = b a b WITNESS (v (id a  b   zz) (gen r1 +))",
+            "\tINV T2 r1 WITNESS (inv (h (id  zz) (gen r1 +)))",
+        ],
+    )
+    def test_word_errors_point_at_the_term_in_the_line(self, b3, line):
+        # Gaps of several spaces, an indent and a tab all count as columns.
+        with pytest.raises(ParseError, match="unknown generator 'zz'") as err:
+            parse_script(f"# header\n{line}\n", b3)
+        assert (err.value.span.line, err.value.span.column) == (2, line.index("zz") + 1)
 
     def test_inverse_t1_resolves_the_unique_defining_relation(self, z5):
         steps = parse_script("T1 b := a a\nINV T1 b\n", z5)
@@ -458,8 +478,24 @@ class TestSynthesizeWitness:
         with pytest.raises(UnknownGenerator, match="'z'"):
             synthesize_witness(b3, z, b3.word("a"))
 
-    def test_gives_up_within_the_radius(self, b3):
+    def test_gives_up_within_the_radius(self, b3, monkeypatch):
         assert synthesize_witness(b3, b3.word("a"), b3.word("b"), radius=3) is None
+        # The search's letter bound ends it too, with the same None.
+        monkeypatch.setattr(oracle, "MAX_SEARCH_LETTERS", 200)
+        assert synthesize_witness(b3, b3.word("a"), b3.word("b"), radius=6) is None
+
+    def test_a_long_search_stops_at_the_letter_bound(self, b3):
+        # Two 200-letter ends: the search stops at MAX_SEARCH_LETTERS, not
+        # at a count of words, and what it holds stays small.
+        source, target = b3.word("a b " * 100), b3.word("b a " * 100)
+        tracemalloc.start()
+        try:
+            witness = synthesize_witness(b3, source, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness is None
+        assert peak < 32 * 2**20
 
     def test_synthesized_witnesses_power_relation_removal(self, b3full):
         # Search for the removal witness instead of writing it by hand.

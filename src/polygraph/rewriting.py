@@ -23,11 +23,12 @@ public functions speak word text (``a b' a^2``) or Word values.
 Queries and complete() run on a rule index, an automaton over the left
 sides (see _Matcher) with numbered states, whose transitions and redexes
 fill one list row per state as they are first needed; adding or retiring
-a rule empties only the slots it can change.  normalize() reads a letter
-with one list lookup and rewrites the redex that ends first.  In the
-inter-reduced systems complete() builds that is the leftmost redex; a
-hand-built system may differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to
-``a y c``, not ``x``.
+a rule empties only the slots it can change; complete() hands its index
+on to a converged result.  normalize() reads a letter with one list
+lookup and rewrites the redex that ends first.  In the inter-reduced
+systems complete() builds that is the leftmost redex; a hand-built system
+may differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to ``a y c``, not
+``x``.
 
 The text serialization of a system is one rule per line after an order
 header, and parses back with parse_system()::
@@ -363,7 +364,8 @@ class _Matcher:
     reversed words kept sorted.  retire() empties the same slots and drops
     the left side's action; a state that is no prefix any more keeps its
     number and row, but no slot leads to it.  A new right side for a live
-    left side changes only its action (set_rhs).
+    left side changes only its action (set_rhs).  Each edit also empties
+    ``memo``, which maps words to their normal forms under the live rules.
     """
 
     def __init__(self, rules):
@@ -378,6 +380,7 @@ class _Matcher:
         self.rows: list[list[int | None]] = [[]]
         self.actions: list[tuple[int, bytes]] = []
         self.action_of: dict[bytes, int] = {}  # left side -> ~k
+        self.memo: dict[bytes, bytes] = {}
         for rule in rules:  # rule order is the rule index order
             if rule.lhs not in self.rules:
                 self.add(rule.lhs, rule.rhs)
@@ -402,7 +405,9 @@ class _Matcher:
     def _reset(self, lhs: bytes) -> None:
         """Empty the slots that listing or unlisting ``lhs`` changes: (s, a)
         where s + a ends with lhs or with a prefix of lhs longer than ``old``
-        letters, the longest that is a state while lhs is unlisted."""
+        letters, the longest that is a state while lhs is unlisted, and the
+        memo."""
+        self.memo.clear()
         old, tails, backwards = len(lhs), self.tails, lhs[::-1]
         while old and lhs[:old] not in self.prefixes:
             old -= 1
@@ -417,6 +422,7 @@ class _Matcher:
 
     def set_rhs(self, lhs: bytes, rhs: bytes) -> None:
         """Give the live left side ``lhs`` the right side ``rhs``."""
+        self.memo.clear()
         self.rules[lhs] = rhs
         if lhs in self.action_of:
             self.actions[~self.action_of[lhs]] = (len(lhs) - 1, rhs[::-1])
@@ -539,6 +545,12 @@ class _Matcher:
             todo += rhs
         return bytes(stack)
 
+    def normal_form(self, word: bytes, max_steps: int) -> bytes:
+        """normalize() through the memo: a word in it is not read again."""
+        if word not in self.memo:
+            self.memo[word] = self.normalize(word, max_steps)
+        return self.memo[word]
+
 
 def normalize(system: RewritingSystem, word, max_steps: int = DEFAULT_MAX_STEPS) -> str:
     """Rewrite to an irreducible word, always the redex that ends first (see
@@ -651,7 +663,10 @@ def complete(
     (Kapur, Musser and Narendran 1988; see verify_convergent); input and
     retired rules, queued with their left side as the peak, never are.  An
     empty queue means every prime critical pair joins; the result is then
-    re-verified and stamped "proven".
+    re-verified, from the normal forms found since the last rule edit (the
+    index's memo), and stamped "proven".  It keeps the run's index: rank
+    order is rule order and no left side lies in another, so the index
+    answers as a fresh build would.
 
     The limits bound, in order: live rules, the left-side length of any new
     rule, and the number of equations processed; ``max_steps`` also bounds
@@ -694,7 +709,7 @@ def complete(
             _, peak, _, u, v = heappop(queue)
             if u != peak and index.read(peak[1:-1]) < 0:
                 continue
-            u, v = index.normalize(u, max_steps), index.normalize(v, max_steps)
+            u, v = index.normal_form(u, max_steps), index.normal_form(v, max_steps)
             if u == v:
                 continue
             lhs, rhs = (u, v) if _slex_greater(u, v) else (v, u)
@@ -735,8 +750,10 @@ def complete(
                 serial += 1
     except StepLimitExceeded:
         return GaveUp(snapshot(), "max_steps")
+    result = snapshot()
+    result.__dict__["_matcher"] = index  # as cached_property stores it
     try:
-        return Converged(certify(snapshot()))
+        return Converged(certify(result))
     except NotConvergent as exc:
         raise InternalError(f"completion produced a non-convergent system: {exc}") from None
 
@@ -773,24 +790,26 @@ def verify_convergent(system: RewritingSystem) -> Proven | Refuted:
     An overlap is composite, and skipped before its peak and sides are
     built, when a left side lies in its peak without the peak's first and
     last letter; a left side inside another is always checked.  Each
-    distinct side word is normalized once per call.  Every rule decreases
-    shortlex, so rewriting terminates, and a terminating system is confluent
-    exactly when its prime critical pairs join (Kapur, Musser and Narendran,
-    "Only prime superpositions need be considered in the Knuth-Bendix
-    completion procedure", J. Symbolic Computation 6, 1988; Sims 1994,
-    ch. 2): passing means unique normal forms.
+    distinct side word is normalized once, through the index's memo, which
+    starts with what complete() left there and is emptied at the end.  Every
+    rule decreases shortlex, so rewriting terminates, and a terminating
+    system is confluent exactly when its prime critical pairs join (Kapur,
+    Musser and Narendran, "Only prime superpositions need be considered in
+    the Knuth-Bendix completion procedure", J. Symbolic Computation 6, 1988;
+    Sims 1994, ch. 2): passing means unique normal forms.
     """
-    matcher, normal = system._matcher, {}  # side word -> its normal form
-    for composite, l1, r1, k, l2, r2 in _critical_pairs(system):
-        if composite:
-            continue
-        peak, left, right = _pair_words(l1, r1, k, l2, r2)
-        for side in (left, right):
-            if side not in normal:
-                normal[side] = matcher.normalize(side, DEFAULT_MAX_STEPS)
-        if normal[left] != normal[right]:
-            return Refuted(*(system.word_text(w) for w in (peak, normal[left], normal[right])))
-    return Proven()
+    matcher = system._matcher
+    try:
+        for composite, l1, r1, k, l2, r2 in _critical_pairs(system):
+            if composite:
+                continue
+            peak, left, right = _pair_words(l1, r1, k, l2, r2)
+            left, right = (matcher.normal_form(w, DEFAULT_MAX_STEPS) for w in (left, right))
+            if left != right:
+                return Refuted(*(system.word_text(w) for w in (peak, left, right)))
+        return Proven()
+    finally:
+        matcher.memo.clear()
 
 
 def certify(system: RewritingSystem) -> RewritingSystem:
@@ -800,9 +819,12 @@ def certify(system: RewritingSystem) -> RewritingSystem:
     with convergent="unknown", which blocks normal-form queries.  This joins
     every prime critical pair (see verify_convergent) and either returns a
     new system with the same rules, marked proven, or raises NotConvergent
-    carrying the refutation witness.  The argument itself is left as it was.
+    carrying the refutation witness; the copy shares the argument's rule
+    index, if built.  The argument itself is left as it was.
     """
     proven = RewritingSystem(system.alphabet, system.rules)
+    if "_matcher" in system.__dict__:
+        proven.__dict__["_matcher"] = system._matcher
     check = verify_convergent(proven)
     if isinstance(check, Refuted):
         raise NotConvergent(

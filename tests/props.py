@@ -37,9 +37,11 @@ from polygraph.rewriting import (
     Rule,
     RewritingSystem,
     _Matcher,
+    certify,
     complete,
     critical_pairs,
     encode,
+    enumerate_normal_forms,
     format_system,
     normalize_bytes,
     parse_system,
@@ -483,12 +485,15 @@ def padded_convergent_systems(seed: int, count: int) -> list[RewritingSystem]:
 
 
 def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
-    """An index driven through batches of random add() and retire() calls,
-    normalizing words between them so its memo fills, answers like a fresh
-    _Matcher built from its final rules: the same normal forms and step
-    counts, the same irreducible one-letter extensions, and the same
-    overlaps.  After each batch every filled slot holds what a fresh
-    _Matcher with the rules of that moment computes (see _check_slots)."""
+    """An index driven through batches of random add(), retire() and
+    set_rhs() calls, normalizing words between them so its rows fill,
+    answers like a fresh _Matcher built from its final rules: the same
+    normal forms and step counts, the same irreducible one-letter
+    extensions, and the same overlaps.  After each batch every filled slot
+    holds what a fresh _Matcher with the rules of that moment computes (see
+    _check_slots).  Words are also normalized through the memo between
+    edits, and after each edit every word left in the memo has the normal
+    form a fresh _Matcher gives it."""
     rng = random.Random(seed)
     ran = 0
     for _ in range(cases):
@@ -496,12 +501,21 @@ def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
         index = _Matcher(())
         for _ in range(rng.randint(1, 30)):
             for _ in range(rng.randint(1, 3)):
-                if index.rules and rng.random() < 0.4:
+                roll = rng.random()
+                if index.rules and roll < 0.3:
                     index.retire(rng.choice(list(index.rules)))
+                elif index.rules and roll < 0.5:
+                    lhs = rng.choice(list(index.rules))
+                    shorter = rng.randrange(len(lhs))
+                    index.set_rhs(lhs, bytes(rng.randrange(letters) for _ in range(shorter)))
                 else:
                     for rule in random_rules(rng, letters, 1):
                         if rule.lhs not in index.rules:
                             index.add(rule.lhs, rule.rhs)
+                _check_memo(index)
+                for _ in range(2):
+                    word = bytes(rng.randrange(letters) for _ in range(rng.randint(0, 12)))
+                    index.normal_form(word, 10**6)
             _check_slots(index)
             for _ in range(3):
                 word = bytes(rng.randrange(letters) for _ in range(rng.randint(0, 12)))
@@ -524,6 +538,14 @@ def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
             assert hits == [hit[1:] for hit in fresh.overlap_hits(lhs)]
         ran += 1
     return ran
+
+
+def _check_memo(index: _Matcher) -> None:
+    """Every word in the memo of ``index`` maps to the normal form a fresh
+    _Matcher with the same rules gives it."""
+    fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()])
+    for word, normal in index.memo.items():
+        assert fresh.normalize(word, 10**6) == normal, (word, normal)
 
 
 def _check_slots(index: _Matcher) -> None:
@@ -595,6 +617,44 @@ def run_reference_strategy_suite(
                     pass
                 else:
                     raise AssertionError(f"{w!r} normalized in fewer than {steps} steps")
+            ran += 1
+    return ran
+
+
+def check_like_cold(system: RewritingSystem, rng: random.Random, cap: int = 500) -> None:
+    """The proven ``system`` answers like a cold re-proof of its text, whose
+    rule index is built from scratch: the same text, normal forms of random
+    words, normal-form listing, critical pairs and convergence verdict."""
+    text = format_system(system)
+    cold = certify(parse_system(text))
+    assert format_system(cold) == text
+    n = len(system.alphabet)
+    for _ in range(50):
+        word = bytes(rng.randrange(n) for _ in range(rng.randint(0, 20)))
+        assert normalize_bytes(system, word) == normalize_bytes(cold, word), text
+    assert enumerate_normal_forms(system, cap) == enumerate_normal_forms(cold, cap), text
+    assert critical_pairs(system) == critical_pairs(cold), text
+    assert verify_convergent(system) == verify_convergent(cold) == Proven(), text
+
+
+def run_completed_index_suite(seed: int = 0, cases: int = 100) -> int:
+    """Random one-object presentations, encoded for the group or, when they
+    have no inverse letters, sometimes for the monoid, and completed under
+    small limits.  Each completion that converges hands its index to its
+    result with an empty memo, and the result passes check_like_cold.
+    Returns how many converged."""
+    rng = random.Random(seed)
+    ran = 0
+    for _ in range(cases):
+        p = random_polygraph(rng, max_cells=1, max_gens=3, max_rels=3, min_rels=1)
+        try:
+            system = encode(p, inverses=rng.random() < 0.7)
+        except UnknownGenerator:  # an inverse letter in a monoid relation
+            system = encode(p)
+        out = complete(system, max_rules=64, max_lhs_len=12, max_steps=5000)
+        if isinstance(out, Converged):
+            assert out.system.__dict__["_matcher"].memo == {}
+            check_like_cold(out.system, rng)
             ran += 1
     return ran
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -246,7 +247,8 @@ class TestComplete:
 
     def test_the_rule_index_is_rebuilt_only_when_the_rules_change(self, monkeypatch):
         # Completion builds one index and edits it in place as rules are
-        # added, retired and rewritten: it is never rebuilt.
+        # added, retired and rewritten: it is never rebuilt, and the final
+        # check and the result's queries run on it too.
         builds = []
 
         class CountingMatcher(rewriting._Matcher):
@@ -256,8 +258,16 @@ class TestComplete:
 
         monkeypatch.setattr(rewriting, "_Matcher", CountingMatcher)
         out = complete(encode(load("b3.plg")), max_rules=128)
-        assert isinstance(out, GaveUp)  # so no certification build at the end
+        assert isinstance(out, GaveUp)
         assert builds == [()]  # 275 builds when every added rule built twice
+        for name in ("z5", "d5", "q8"):
+            builds.clear()
+            out = complete(encode(load(f"{name}.plg")))
+            assert isinstance(out, Converged)
+            assert isinstance(enumerate_normal_forms(out.system), Finite)
+            # [(), 4 rules], [(), 11 rules] and [(), 16 rules] when the
+            # final check built an index of its own.
+            assert builds == [()], name
 
     @pytest.mark.parametrize(
         "name, inverses, limits",
@@ -391,6 +401,64 @@ class TestVerifyConvergent:
             if not any(lhs in peak[1:-1] for lhs in sides) for word in (left, right)
         }
         assert sorted(normalized) == sorted(words)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(lambda name=name: encode(load(f"{name}.plg")) for name in ("z5", "d5", "q8")),
+            *(lambda name=name: encode(load(f"{name}.plg"), inverses=False)
+              for name in ("z5", "d5", "q8", "b3_abc", "b3_literal")),
+            lambda: encode(presentations.parse(
+                "< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >")),
+            lambda: encode(dihedral(54, balanced=True)),
+        ],
+        ids=["z5", "d5", "q8", "z5-monoid", "d5-monoid", "q8-monoid", "b3_abc-monoid",
+             "b3_literal-monoid", "A5", "D54-balanced"],
+    )
+    def test_the_handed_over_index_answers_like_a_cold_one(self, make):
+        # complete() gives its result the index it edited while it ran; a
+        # system read back from its text builds a fresh one.
+        out = complete(make())
+        assert isinstance(out, Converged)
+        assert out.system.__dict__["_matcher"].memo == {}
+        props.check_like_cold(out.system, random.Random(97))
+
+    def test_random_completions_answer_like_cold_ones(self):
+        assert props.run_completed_index_suite(seed=98, cases=150) == 119
+
+    def test_the_final_check_reuses_completions_normal_forms(self, monkeypatch):
+        # A5: the final check joins all 74 prime pairs, whose sides are 107
+        # distinct words, but reads only the 90 not normalized since the
+        # last rule edit.
+        text = "< a, b | a^2 = 1, b^3 = 1, a b a b a b a b a b = 1 >"
+        certified, normalized = [], []
+        normalize, certify_ = rewriting._Matcher.normalize, rewriting.certify
+
+        def counting(index, word, max_steps):
+            if certified:  # from the final check on
+                normalized.append(word)
+            return normalize(index, word, max_steps)
+
+        def certifying(system):
+            certified.append(system)
+            return certify_(system)
+
+        monkeypatch.setattr(rewriting._Matcher, "normalize", counting)
+        monkeypatch.setattr(rewriting, "certify", certifying)
+        out = complete(encode(presentations.parse(text)))
+        monkeypatch.undo()
+        assert isinstance(out, Converged) and len(certified) == 1
+        overlaps, _ = props.reference_critical_pairs(out.system)
+        sides = [rule.lhs for rule in out.system.rules]
+        words = {
+            word for peak, left, right in overlaps
+            if not any(lhs in peak[1:-1] for lhs in sides) for word in (left, right)
+        }
+        assert len(words) == 107
+        assert len(normalized) == len(set(normalized)) == 90
+        assert set(normalized) < words
+        cold = certify(parse_system(format_system(out.system)))
+        assert format_system(cold) == format_system(out.system)
 
     def test_critical_pairs_cover_overlaps_and_inclusions(self):
         system = parse_system("order: a < b\nb b -> a\nb b b -> a a\n")

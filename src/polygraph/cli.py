@@ -6,9 +6,11 @@ normal forms when a convergent system is in reach, by breadth-first search
 otherwise), enumerate elements, run Tietze scripts, and export Cayley graphs
 and complexes.
 
-Exit codes: 0 success, 1 usage or parse error, 2 undecided (a limit hit),
-3 verification failure.  Machine output goes to stdout and is byte-identical
-across identical invocations; diagnostics go to stderr.
+Exit codes: 0 success, 1 usage, I/O or parse error, 2 undecided (a limit
+hit), 3 verification failure.  A failure is a raised PolygraphError that
+exits with its class's ``exit_code``; a stdout closed early exits 1 quietly.
+Machine output goes to stdout and is byte-identical across identical
+invocations; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -16,25 +18,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import cayley, oracle, presentations, rewriting, tietze
-from .errors import (
-    DuplicateName,
-    EndpointMismatch,
-    IllTyped,
-    InfiniteOrUnknown,
-    InternalError,
-    LawViolation,
-    MultiObjectUnsupported,
-    NotConvergent,
-    ParseError,
-    PolygraphError,
-    StepLimitExceeded,
-    TietzeError,
-    UnknownCell,
-    UnknownGenerator,
-)
+from .errors import InfiniteOrUnknown, NotConvergent, PolygraphError, TietzeError
 from .model import Polygraph, validate
 
 __all__ = ["main"]
@@ -42,14 +30,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNDECIDED = 2
-EXIT_VERIFICATION = 3
-
-
-class _Exit(Exception):
-    """Early exit with a code; the message, if any, went to stderr already."""
-
-    def __init__(self, code: int):
-        self.code = code
 
 
 def _diag(message: str) -> None:
@@ -64,20 +44,27 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _load(path: str) -> Polygraph:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        _diag(f"cannot read {path}: {exc}")
-        raise _Exit(EXIT_USAGE)
-    p = presentations.parse(text)
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PolygraphError(f"cannot read {path}: {exc}") from None
+
+
+def _load(path: str) -> Polygraph:
+    p = presentations.parse(_read(path))
     issues = validate(p)
     if issues:
-        for issue in issues:
-            _diag(f"{path}: {issue}")
-        raise _Exit(EXIT_USAGE)
+        raise PolygraphError("\n".join(f"{path}: {issue}" for issue in issues))
     return p
+
+
+def _count(text: str) -> int:
+    """An argparse type for limits: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _completion_flags(sub: argparse.ArgumentParser, *, max_rules: int) -> None:
@@ -90,9 +77,9 @@ def _completion_flags(sub: argparse.ArgumentParser, *, max_rules: int) -> None:
         action="store_true",
         help="encode the positive monoid: no inverse letters, no cancellation rules",
     )
-    sub.add_argument("--max-rules", type=int, default=max_rules)
-    sub.add_argument("--max-len", type=int, default=rewriting.DEFAULT_MAX_LHS_LEN)
-    sub.add_argument("--max-steps", type=int, default=rewriting.DEFAULT_MAX_STEPS)
+    sub.add_argument("--max-rules", type=_count, default=max_rules)
+    sub.add_argument("--max-len", type=_count, default=rewriting.DEFAULT_MAX_LHS_LEN)
+    sub.add_argument("--max-steps", type=_count, default=rewriting.DEFAULT_MAX_STEPS)
 
 
 def _encode(p: Polygraph, args) -> rewriting.RewritingSystem:
@@ -114,11 +101,10 @@ def _complete(p: Polygraph, args):
 def _require_converged(p: Polygraph, args) -> rewriting.RewritingSystem:
     outcome = _complete(p, args)
     if isinstance(outcome, rewriting.GaveUp):
-        _diag(
+        raise NotConvergent(
             f"completion gave up ({outcome.reason}) at {len(outcome.system.rules)} rules;"
             " raise the limits if the system might still converge"
         )
-        raise _Exit(EXIT_UNDECIDED)
     return outcome.system
 
 
@@ -139,8 +125,11 @@ def _cmd_complete(args) -> int:
         return EXIT_UNDECIDED
     text = rewriting.format_system(outcome.system)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise PolygraphError(f"cannot write {args.output}: {exc}") from None
     else:
         _emit(text)
     return EXIT_OK
@@ -153,33 +142,30 @@ def _cmd_nf(args) -> int:
     return EXIT_OK
 
 
+def _verdict(args, verdict: str, **detail) -> None:
+    if args.json:
+        _emit_json({"verdict": verdict, **detail})
+    else:
+        _emit(verdict)
+
+
 def _cmd_eq(args) -> int:
     p = _load(args.file)
     outcome = _complete(p, args)
     if isinstance(outcome, rewriting.Converged):
         equal = rewriting.word_equal(outcome.system, args.left, args.right)
-        verdict = "equal" if equal else "unequal"
-        if args.json:
-            _emit_json({"verdict": verdict, "method": "normal-forms"})
-        else:
-            _emit(verdict)
+        _verdict(args, "equal" if equal else "unequal", method="normal-forms")
         return EXIT_OK
     _diag(
         f"completion gave up ({outcome.reason}); falling back to breadth-first search"
     )
     found = oracle.bfs_equal(p, args.left, args.right, args.radius)
     if isinstance(found, oracle.Equal):
-        if args.json:
-            _emit_json({"verdict": "equal", "method": "search", "steps": found.steps})
-        else:
-            _emit("equal")
+        _verdict(args, "equal", method="search", steps=found.steps)
         return EXIT_OK
     if found.limit != "radius":
         _diag(f"search stopped at {found.limit}")
-    if args.json:
-        _emit_json({"verdict": "undecided", "method": "search", "radius": args.radius})
-    else:
-        _emit("undecided")
+    _verdict(args, "undecided", method="search", radius=args.radius)
     return EXIT_UNDECIDED
 
 
@@ -188,8 +174,7 @@ def _cmd_enumerate(args) -> int:
     system = _require_converged(p, args)
     outcome = rewriting.enumerate_normal_forms(system, cap=args.cap)
     if isinstance(outcome, rewriting.MoreThanCap):
-        _diag(f"more than {args.cap} normal forms; the group may be infinite")
-        return EXIT_UNDECIDED
+        raise InfiniteOrUnknown(f"more than {args.cap} normal forms; the group may be infinite")
     if args.json:
         for i, word in enumerate(outcome.words):
             _emit_json({"index": i, "word": word})
@@ -211,13 +196,7 @@ def _order_of(p: Polygraph, args) -> int | None:
 
 def _cmd_tietze(args) -> int:
     p = _load(args.file)
-    try:
-        with open(args.script, "r", encoding="utf-8") as handle:
-            script_text = handle.read()
-    except OSError as exc:
-        _diag(f"cannot read {args.script}: {exc}")
-        return EXIT_USAGE
-    steps, after = tietze._elaborate(script_text, p)
+    steps, after = tietze._elaborate(_read(args.script), p)
     if args.json:
         for i, step in enumerate(steps, start=1):
             _emit_json({"step": i, "kind": type(step).__name__, "ok": True})
@@ -227,18 +206,16 @@ def _cmd_tietze(args) -> int:
         before_order = _order_of(p, args)
         after_order = _order_of(after, args)
         if before_order is None or after_order is None:
-            _diag(
+            raise InfiniteOrUnknown(
                 "group order could not be established on both sides "
                 f"(before={before_order}, after={after_order})"
             )
-            return EXIT_UNDECIDED
         if args.json:
             _emit_json({"order_before": before_order, "order_after": after_order})
         else:
             _diag(f"order before={before_order} after={after_order}")
         if before_order != after_order:
-            _diag("group order changed: the script is defective")
-            return EXIT_VERIFICATION
+            raise TietzeError("group order changed: the script is defective")
     return EXIT_OK
 
 
@@ -301,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # The completion attempt is opportunistic, so its default budget is small
     # enough to fail fast on divergent presentations.
     _completion_flags(sub, max_rules=512)
-    sub.add_argument("--radius", type=int, default=4,
+    sub.add_argument("--radius", type=_count, default=4,
                      help="search radius for the fallback (default 4)")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_eq)
@@ -309,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("enumerate", help="list all elements if finite")
     sub.add_argument("file")
     _completion_flags(sub, max_rules=rewriting.DEFAULT_MAX_RULES)
-    sub.add_argument("--cap", type=int, default=10000)
+    sub.add_argument("--cap", type=_count, default=10000)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_enumerate)
 
@@ -319,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--check-order", action="store_true",
                      help="re-enumerate the group order before and after")
     _completion_flags(sub, max_rules=rewriting.DEFAULT_MAX_RULES)
-    sub.add_argument("--cap", type=int, default=10000)
+    sub.add_argument("--cap", type=_count, default=10000)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_tietze)
 
@@ -329,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = kinds.add_parser("graph", help="export the Cayley graph")
     g.add_argument("file")
     g.add_argument("--format", choices=("dot", "json"), required=True)
-    g.add_argument("--cap", type=int, default=10000)
+    g.add_argument("--cap", type=_count, default=10000)
     _completion_flags(g, max_rules=rewriting.DEFAULT_MAX_RULES)
     g.set_defaults(handler=_cmd_cayley_graph)
 
@@ -338,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("json",), required=True)
     c.add_argument("--homology", action="store_true",
                    help="embed the homology summary in the export")
-    c.add_argument("--cap", type=int, default=10000)
+    c.add_argument("--cap", type=_count, default=10000)
     _completion_flags(c, max_rules=rewriting.DEFAULT_MAX_RULES)
     c.set_defaults(handler=_cmd_cayley_complex)
 
@@ -346,37 +323,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse prints its own message; --help exits 0, usage errors exit 1.
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return args.handler(args)
-    except _Exit as exc:
-        return exc.code
-    except ParseError as exc:
-        _diag(str(exc))
-        return EXIT_USAGE
-    except (
-        DuplicateName,
-        EndpointMismatch,
-        MultiObjectUnsupported,
-        UnknownCell,
-        UnknownGenerator,
-    ) as exc:
-        _diag(str(exc))
-        return EXIT_USAGE
-    except (InfiniteOrUnknown, NotConvergent, StepLimitExceeded) as exc:
-        _diag(str(exc))
-        return EXIT_UNDECIDED
-    except (IllTyped, InternalError, LawViolation, TietzeError) as exc:
-        _diag(str(exc))
-        return EXIT_VERIFICATION
-    except PolygraphError as exc:
-        _diag(str(exc))
-        return EXIT_USAGE
+        try:
+            args = _build_parser().parse_args(argv)
+            code = args.handler(args)
+        except SystemExit as exc:
+            # argparse prints its own message; --help exits 0, usage errors exit 1.
+            code = EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        except PolygraphError as exc:
+            _diag(str(exc))
+            code = exc.exit_code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: send what is still buffered to devnull, so the
+        # interpreter's own flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

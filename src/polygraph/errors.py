@@ -1,8 +1,9 @@
 """Exception hierarchy shared by the polygraph modules.
 
 Every error raised on purpose by this package derives from PolygraphError,
-so callers (and the command line driver) can catch one base class and turn
-it into a diagnostic instead of a traceback.
+so callers can catch one base class and turn it into a diagnostic instead of
+a traceback.  ``exit_code`` is the command line's exit status for a class:
+1 bad input (the default), 2 undecided (a limit fired), 3 failed verification.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 
 class PolygraphError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class DuplicateName(PolygraphError):
 class IllTyped(PolygraphError):
     """A derivation node does not compose: its pieces have wrong boundaries."""
 
+    exit_code = 3
+
 
 class MultiObjectUnsupported(PolygraphError):
     """String rewriting needs a single 0-cell; this polygraph has several."""
@@ -66,6 +71,8 @@ class MultiObjectUnsupported(PolygraphError):
 
 class StepLimitExceeded(PolygraphError):
     """normalize() hit its rewrite-step budget before reaching a normal form."""
+
+    exit_code = 2
 
 
 class SearchLimitExceeded(PolygraphError):
@@ -75,18 +82,28 @@ class SearchLimitExceeded(PolygraphError):
 class NotConvergent(PolygraphError):
     """An operation that needs unique normal forms was given an unproven system."""
 
+    exit_code = 2
+
 
 class InfiniteOrUnknown(PolygraphError):
-    """A Cayley construction needs the full element list, but enumeration hit its cap."""
+    """An answer needs every element, but the group is infinite or past the cap."""
+
+    exit_code = 2
 
 
 class LawViolation(PolygraphError):
     """A multiplication table failed a group law (associativity, identity, inverses)."""
 
+    exit_code = 3
+
 
 class TietzeError(PolygraphError):
     """A Tietze step failed verification against the current polygraph."""
 
+    exit_code = 3
+
 
 class InternalError(PolygraphError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+    exit_code = 3

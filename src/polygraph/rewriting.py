@@ -212,6 +212,8 @@ class RewritingSystem:
     def __post_init__(self):
         # A caller's list would let the rules change under the cached index.
         object.__setattr__(self, "rules", tuple(self.rules))
+        # UnknownGenerator for a rule over a letter outside the alphabet.
+        self.alphabet.word_bytes(b"".join(rule.lhs + rule.rhs for rule in self.rules))
 
     @cached_property
     def _matcher(self) -> _Matcher:

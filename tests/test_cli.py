@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import DATA
-from polygraph import cli, rewriting
+from polygraph import cli, errors, rewriting
 
 Z5 = str(DATA / "z5.plg")
 D5 = str(DATA / "d5.plg")
@@ -26,6 +26,18 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, **kwargs):
+    """``python -m polygraph`` on this checkout's ``src``, in a process of its own."""
+    return subprocess.run(
+        [sys.executable, "-m", "polygraph", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(DATA.parents[1] / "src")},
+        **kwargs,
+    )
 
 
 class TestParse:
@@ -47,6 +59,29 @@ class TestParse:
         assert code == 1
         assert out == ""
         assert err != ""
+
+    def test_block_form_infers_the_cells_from_the_generators(self, capsys, tmp_path):
+        path = tmp_path / "two.plg"
+        path.write_text("polygraph\ngen a : x -> y\ngen b : y -> x\nrel r : a b = 1\n")
+        code, out, err = run(capsys, ["parse", str(path)])
+        assert code == 0
+        assert out == (
+            "polygraph\ncells: x y\ngen a : x -> y\ngen b : y -> x\nrel r : a b = 1\n"
+        )
+        path.write_text(out)
+        assert run(capsys, ["parse", str(path)]) == (0, out, "")
+
+    def test_each_validation_issue_is_one_line(self, capsys, tmp_path):
+        # y is neither declared nor a generator endpoint: parse accepts the
+        # basepoint, validate does not.
+        path = tmp_path / "stray.plg"
+        path.write_text("polygraph\ngen a : x -> x\nrel r : 1 = 1 @ y\n")
+        code, out, err = run(capsys, ["parse", str(path)])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"{path}: r: lhs endpoints are not 0-cells\n"
+            f"{path}: r: rhs endpoints are not 0-cells\n"
+        )
 
 
 class TestComplete:
@@ -182,11 +217,12 @@ class TestEnumerate:
         assert rows[0] == {"index": 0, "word": "1"}
         assert [row["index"] for row in rows] == list(range(5))
 
-    def test_exceeding_the_cap_exits_two(self, capsys):
-        code, out, err = run(capsys, ["enumerate", Z5, "--cap", "3"])
+    @pytest.mark.parametrize("cap", ["3", "0"])
+    def test_exceeding_the_cap_exits_two(self, capsys, cap):
+        code, out, err = run(capsys, ["enumerate", Z5, "--cap", cap])
         assert code == 2
         assert out == ""
-        assert "more than 3" in err
+        assert f"more than {cap} normal forms" in err
 
 
 class TestTietze:
@@ -231,14 +267,7 @@ class TestTietze:
         witness = "(inv " * 3000 + "(gen r1 +)" + ")" * 3000
         script = tmp_path / "deep.tz"
         script.write_text(f"T2 r2 : a b a = b a b WITNESS {witness}\n")
-        root = DATA.parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "polygraph", "tietze", B3, str(script)],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-        )
+        proc = run_process("tietze", B3, str(script), stdout=subprocess.PIPE)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "< a, b | a b a = b a b, a b a = b a b >\n"
         assert "Traceback" not in proc.stderr
@@ -335,6 +364,23 @@ class TestUsage:
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert run(capsys, [])[0] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complete", Z5, "--max-rules", "-1"],
+            ["nf", Z5, "a", "--max-len", "-2"],
+            ["eq", Z5, "a", "a", "--radius", "-1"],
+            ["enumerate", Z5, "--cap", "-3"],
+            ["tietze", Z5, Z5_ROUNDTRIP, "--max-steps", "-5"],
+            ["cayley", "graph", Z5, "--format", "dot", "--cap", "-1"],
+        ],
+        ids=["complete", "nf", "eq", "enumerate", "tietze", "cayley"],
+    )
+    def test_a_negative_limit_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert f"argument {argv[-2]}: expected an integer >= 0, got '{argv[-1]}'" in err
+
     def test_unknown_flags_are_usage_errors(self, capsys):
         assert run(capsys, ["parse", B3, "--wat"])[0] == 1
 
@@ -352,6 +398,76 @@ class TestUsage:
             for argv, (code, out, _) in zip(commands, first):
                 assert run(capsys, argv)[:2] == (code, out)
         assert cli._build_parser() is cli._build_parser()
+
+
+# The exit code of every error class, as README's exit-code table documents it.
+EXIT_CODES = {
+    errors.PolygraphError: 1,
+    errors.ParseError: 1,
+    errors.EndpointMismatch: 1,
+    errors.UnknownCell: 1,
+    errors.UnknownGenerator: 1,
+    errors.DuplicateName: 1,
+    errors.MultiObjectUnsupported: 1,
+    errors.SearchLimitExceeded: 1,
+    errors.StepLimitExceeded: 2,
+    errors.NotConvergent: 2,
+    errors.InfiniteOrUnknown: 2,
+    errors.IllTyped: 3,
+    errors.InternalError: 3,
+    errors.LawViolation: 3,
+    errors.TietzeError: 3,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_a_documented_code(self):
+        def descendants(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from descendants(sub)
+
+        assert set(descendants(errors.PolygraphError)) | {errors.PolygraphError} == set(
+            EXIT_CODES
+        )
+
+    @pytest.mark.parametrize(
+        "error, code", EXIT_CODES.items(), ids=[cls.__name__ for cls in EXIT_CODES]
+    )
+    def test_an_error_exits_with_its_code_and_one_line(self, capsys, monkeypatch, error, code):
+        def fail(path):
+            raise error(f"{error.__name__} from {path}")
+
+        monkeypatch.setattr(cli, "_load", fail)
+        assert run(capsys, ["parse", Z5]) == (code, "", f"{error.__name__} from {Z5}\n")
+
+    def test_a_file_that_is_not_utf8_cannot_be_read(self, tmp_path):
+        plg = tmp_path / "latin1.plg"
+        plg.write_bytes("< a | a^5 = 1 >  # \xe9\n".encode("latin-1"))
+        script = tmp_path / "latin1.tz"
+        script.write_bytes("T1 b := a a  # \xe9\n".encode("latin-1"))
+        for argv, path in [(["parse", plg], plg), (["tietze", Z5, script], script)]:
+            proc = run_process(*argv, stdout=subprocess.PIPE)
+            assert (proc.returncode, proc.stdout) == (1, "")
+            assert proc.stderr.startswith(f"cannot read {path}: 'utf-8' codec")
+            assert "Traceback" not in proc.stderr
+
+    def test_an_unwritable_output_path_cannot_be_written(self, tmp_path):
+        target = tmp_path / "missing" / "x"
+        proc = run_process("complete", Z5, "-o", str(target), stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"cannot write {target}: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_a_closed_stdout_exits_one_quietly(self):
+        # No process holds the read end, so the first flush fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_process("enumerate", D5, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # What the console-script wrapper that pip writes for a

@@ -922,6 +922,16 @@ class TestFrozenSystems:
         rules.append(Rule(b"\x00", b""))
         assert system.rules == (Rule(b"\x00\x00", b""),)
 
+    def test_rules_over_foreign_letters_are_refused(self, z5_system):
+        with pytest.raises(UnknownGenerator, match="letter index 5"):
+            RewritingSystem(Alphabet(["a"]), [Rule(b"\x05", b"")])
+        rules = [Rule(b"\x00\x01", b"\x00"), Rule(b"\x01\x01", b"\x02")]
+        with pytest.raises(UnknownGenerator, match="letter index 2"):
+            RewritingSystem(Alphabet(["a", "b"]), rules)
+        foreign = Rule(bytes([len(z5_system.alphabet)]) * 2, b"")
+        with pytest.raises(UnknownGenerator):
+            dataclasses.replace(z5_system, rules=z5_system.rules + (foreign,))
+
     def test_certify_returns_a_new_value(self):
         hand_built = parse_system("order: a\na a -> 1\n")
         proven = certify(hand_built)

@@ -4,7 +4,8 @@ Tietze transformations, and Cayley constructions.
 The package is organized as a pipeline:
 
 - ``words`` / ``model``: zig-zag words over generators, presentations with
-  named relations, and derivation trees certifying equalities.
+  named relations, and derivation trees certifying equalities, with their
+  s-expression text.
 - ``presentations``: the .plg text format (angle-bracket and block forms).
 - ``rewriting``: shortlex string rewriting, Knuth-Bendix completion,
   normal-form enumeration.

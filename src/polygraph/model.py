@@ -18,15 +18,21 @@ only through their boundary: which pair of words they connect.
 Vertical composition is strict on purpose: the middle words must match
 letter for letter, not merely up to free reduction.  Cancellation is a
 move you must spend a node on, never a silent identification.
+
+A derivation's text is an s-expression, the witness syntax of .tz scripts:
+``format_derivation`` writes it and ``parse_derivation`` reads it, with no
+module beyond ``words`` and ``errors``, so a checker of written witnesses
+loads none of the search or rewriting engines.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import IllTyped, TietzeError, UnknownCell
-from .words import Letter, Word, format_word, parse_word
+from .errors import IllTyped, ParseError, SourceSpan, TietzeError, UnknownCell
+from .words import Letter, Word, format_word, parse_word, scan_terms, word_of_runs
 
 __all__ = [
     "Polygraph",
@@ -43,6 +49,8 @@ __all__ = [
     "CancelLeft",
     "CancelRight",
     "boundary",
+    "format_derivation",
+    "parse_derivation",
     "DEFAULT_CELL",
 ]
 
@@ -194,7 +202,7 @@ class Derivation:
         return hashes[id(self)]
 
     def __repr__(self) -> str:
-        return _sexpr(self)
+        return format_derivation(self)
 
     def __reduce__(self):
         """Pickle and copy as a flat table of nodes, children before parents,
@@ -287,32 +295,6 @@ def _rebuild(rows: list[tuple[type, tuple, tuple[int, ...]]]) -> Derivation:
     return nodes[-1]
 
 
-_SEXPR_PARTS = {  # a node's s-expression: literal text and children, in order
-    Gen: lambda d: [f"(gen {d.rel} {'+' if d.sign > 0 else '-'})"],
-    Horiz: lambda d: ["(h ", d.left, " ", d.right, ")"],
-    Vert: lambda d: ["(v ", d.first, " ", d.second, ")"],
-    Id: lambda d: [f"(id {format_word(d.word)})"],
-    Inv: lambda d: ["(inv ", d.inner, ")"],
-    CancelLeft: lambda d: [f"(lam {d.gen})"],
-    CancelRight: lambda d: [f"(rho {d.gen})"],
-}
-
-
-def _sexpr(d: Derivation) -> str:
-    """The s-expression text of a derivation (tietze.format_derivation)."""
-    out: list[str] = []
-    todo: list[Derivation | str] = [d]  # nodes still to render, and literal text
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif type(item) in _SEXPR_PARTS:
-            todo += reversed(_SEXPR_PARTS[type(item)](item))
-        else:
-            raise TietzeError(f"not a derivation node: {item!r}")
-    return "".join(out)
-
-
 def boundary(p: Polygraph, d: Derivation) -> Sphere:
     """The pair of words a derivation connects, computed structurally.
 
@@ -400,3 +382,122 @@ def chain(moves: Iterable[Derivation]) -> Derivation:
     for move in moves[1:]:
         out = Vert(out, move)
     return out
+
+
+# --------------------------------------------------------------------------
+# Derivation text
+
+
+_SEXPR_PARTS = {  # a node's s-expression: literal text and children, in order
+    Gen: lambda d: [f"(gen {d.rel} {'+' if d.sign > 0 else '-'})"],
+    Horiz: lambda d: ["(h ", d.left, " ", d.right, ")"],
+    Vert: lambda d: ["(v ", d.first, " ", d.second, ")"],
+    Id: lambda d: [f"(id {format_word(d.word)})"],
+    Inv: lambda d: ["(inv ", d.inner, ")"],
+    CancelLeft: lambda d: [f"(lam {d.gen})"],
+    CancelRight: lambda d: [f"(rho {d.gen})"],
+}
+
+
+def format_derivation(d: Derivation) -> str:
+    """Render a derivation as the s-expression syntax of .tz scripts."""
+    out: list[str] = []
+    todo: list[Derivation | str] = [d]  # nodes still to render, and literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif type(item) in _SEXPR_PARTS:
+            todo += reversed(_SEXPR_PARTS[type(item)](item))
+        else:
+            raise TietzeError(f"not a derivation node: {item!r}")
+    return "".join(out)
+
+
+# A parenthesis, or a run of other characters up to a space or parenthesis.
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+# The heads whose parts are derivations, each with the node it builds.
+_BRANCHES = {"h": Horiz, "v": Vert, "inv": Inv}
+
+
+def _tokens(text: str) -> list[tuple[str, int]]:
+    """The tokens of one line of text, each with its 1-based column."""
+    return [(match.group(), match.start() + 1) for match in _TOKEN_RE.finditer(text)]
+
+
+def _word_until(tokens, start, stops, p: Polygraph, line: int) -> tuple[Word, int]:
+    """The word spelled by the tokens from ``start`` up to a stop token, each
+    term read at its own column, and the index where it ends."""
+    i = start
+    while i < len(tokens) and tokens[i][0] not in stops:
+        i += 1
+    at = p.cells0[0] if len(p.cells0) == 1 else None
+    column = tokens[start][1] if start < len(tokens) else 1
+    runs = scan_terms([(text, line, col) for text, col in tokens[start:i]])
+    return word_of_runs(runs, p.gens, at, SourceSpan(line, column)), i
+
+
+def parse_derivation(text: str, p: Polygraph, line: int = 1) -> Derivation:
+    """Parse one derivation s-expression over the given polygraph."""
+    return _read_derivation(_tokens(text), p, line)
+
+
+def _read_derivation(tokens: list[tuple[str, int]], p: Polygraph, line: int) -> Derivation:
+    """The derivation that all of ``tokens``, from ``line``, spell.
+
+    Open (h …), (v …) and (inv …) nodes wait on a stack for their parts,
+    so nesting depth is not bounded by the recursion limit.
+    """
+    pos = 0
+
+    def take() -> tuple[str, int]:
+        nonlocal pos
+        if pos == len(tokens):
+            raise ParseError("unexpected end of derivation", SourceSpan(line, 1))
+        pos += 1
+        return tokens[pos - 1]
+
+    def expect(text: str) -> None:
+        token, col = take()
+        if token != text:
+            raise ParseError(f"expected {text!r}, found {token!r}", SourceSpan(line, col))
+
+    open_nodes: list[tuple[type, list[Derivation]]] = []  # (node class, parts so far)
+    while True:
+        expect("(")
+        head, col = take()
+        if head in _BRANCHES:
+            open_nodes.append((_BRANCHES[head], []))
+            continue
+        if head == "gen":
+            rel, _ = take()
+            sign, sign_col = take()
+            if sign not in ("+", "-"):
+                raise ParseError(
+                    f"relation sign must be + or -, found {sign!r}", SourceSpan(line, sign_col)
+                )
+            node: Derivation = Gen(rel, 1 if sign == "+" else -1)
+        elif head in ("lam", "rho"):
+            gen, _ = take()
+            node = CancelLeft(gen) if head == "lam" else CancelRight(gen)
+        elif head == "id":
+            word, pos = _word_until(tokens, pos, {")"}, p, line)
+            node = Id(word)
+        else:
+            raise ParseError(f"unknown derivation head {head!r}", SourceSpan(line, col))
+        expect(")")
+        while open_nodes:
+            cls, parts = open_nodes[-1]
+            parts.append(node)
+            if len(parts) < len(cls.__dataclass_fields__):
+                break
+            open_nodes.pop()
+            expect(")")
+            node = cls(*parts)
+        else:
+            break
+    if pos != len(tokens):
+        token, col = tokens[pos]
+        raise ParseError(f"trailing {token!r} after derivation", SourceSpan(line, col))
+    return node

@@ -32,7 +32,7 @@ otherwise, and parse(render(p)) reproduces p on the nose.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError, SourceSpan
 from .words import IDENT_RE, Letter, Word, expand_runs, format_word, scan_terms
@@ -42,8 +42,7 @@ from .model import DEFAULT_CELL, Polygraph, Sphere
 __all__ = ["parse", "render"]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "term" | "sym" | "nl" | "eof"
     text: str
     line: int
@@ -54,9 +53,12 @@ class _Token:
         return SourceSpan(self.line, self.col, max(1, len(self.text)))
 
 
-_SYMBOLS = set("<>|,=:*@")
-# Text up to the next space, comment, symbol or "->".
-_PIECE_RE = re.compile(r"(?:[^\s#<>|,=:*@-]|-(?!>))+")
+# One token at a time, and every character falls in one: a newline, other
+# space, a comment, a symbol, or a piece of other text up to the next of
+# those ("-" starts a piece unless it starts "->").
+_TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|[^\S\n]+|#[^\n]*|(?P<sym>->|[<>|,=:*@])|(?P<piece>(?:[^\s#<>|,=:*@-]|-(?!>))+)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -66,30 +68,16 @@ def _tokenize(text: str) -> list[_Token]:
     decides what a term means.
     """
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(_Token("nl", "\n", line, col))
-            i, line, col = i + 1, line + 1, 1
-        elif ch.isspace():
-            i, col = i + 1, col + 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i, col = i + 1, col + 1
-        elif text.startswith("->", i):
-            tokens.append(_Token("sym", "->", line, col))
-            i, col = i + 2, col + 2
-        elif ch in _SYMBOLS:
-            tokens.append(_Token("sym", ch, line, col))
-            i, col = i + 1, col + 1
-        else:
-            piece = _PIECE_RE.match(text, i).group()
+    line, line_start = 1, 0  # the offset where the current line starts
+    for match in _TOKEN_RE.finditer(text):
+        kind, piece = match.lastgroup, match.group()
+        if kind == "piece":
             kind = "ident" if IDENT_RE.fullmatch(piece) else "term"
-            tokens.append(_Token(kind, piece, line, col))
-            i, col = i + len(piece), col + len(piece)
-    tokens.append(_Token("eof", "", line, col))
+        if kind is not None:
+            tokens.append(_Token(kind, piece, line, match.start() - line_start + 1))
+        if kind == "nl":
+            line, line_start = line + 1, match.end()
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -98,30 +86,27 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, skip_nl: bool = False) -> _Token:
-        pos = self.pos
-        if skip_nl:
-            while self.tokens[pos].kind == "nl":
-                pos += 1
-        return self.tokens[pos]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
-    def take(self, skip_nl: bool = False) -> _Token:
-        if skip_nl:
-            while self.tokens[self.pos].kind == "nl":
-                self.pos += 1
+    def take(self) -> _Token:
         token = self.tokens[self.pos]
         if token.kind != "eof":
             self.pos += 1
         return token
 
-    def expect_sym(self, sym: str, skip_nl: bool = False) -> _Token:
-        token = self.take(skip_nl)
+    def skip_blank_lines(self) -> None:
+        while self.tokens[self.pos].kind == "nl":
+            self.pos += 1
+
+    def expect_sym(self, sym: str) -> _Token:
+        token = self.take()
         if token.kind != "sym" or token.text != sym:
             raise ParseError(f"expected {sym!r}, found {token.text or 'end of input'!r}", token.span)
         return token
 
-    def expect_ident(self, what: str, skip_nl: bool = False) -> _Token:
-        token = self.take(skip_nl)
+    def expect_ident(self, what: str) -> _Token:
+        token = self.take()
         if token.kind != "ident":
             raise ParseError(f"expected {what}, found {token.text or 'end of input'!r}", token.span)
         return token
@@ -135,22 +120,22 @@ def _is_sym(token: _Token, sym: str) -> bool:
 
 
 def _parse_word_tokens(
-    parser: _Parser, gens: dict[str, tuple[str, str]], stop_syms: set[str], skip_nl: bool
+    parser: _Parser, gens: dict[str, tuple[str, str]], stop_syms: set[str]
 ) -> tuple[list[Letter], _Token]:
     """Parse a word up to one of stop_syms.
 
     Returns (letters, first_token); no letters means an identity word
     (written ``1``), whose basepoint the caller must supply.
     """
-    first = parser.peek(skip_nl)
+    first = parser.peek()
     pieces: list[tuple[str, int, int]] = []
     while True:
-        token = parser.peek(skip_nl)
+        token = parser.peek()
         if token.kind in ("nl", "eof") or (token.kind == "sym" and token.text in stop_syms):
             break
         if token.kind == "sym":
             raise ParseError(f"expected a word term, found {token.text!r}", token.span)
-        parser.take(skip_nl)
+        parser.take()
         pieces.append((token.text, token.line, token.col))
     if not pieces:
         raise ParseError("expected a word", first.span)
@@ -176,41 +161,40 @@ def _build_word(
 
 
 def _parse_angle(parser: _Parser) -> Polygraph:
-    parser.expect_sym("<", skip_nl=True)
+    parser.expect_sym("<")
     gens: dict[str, tuple[str, str]] = {}
     while True:
-        token = parser.expect_ident("a generator name", skip_nl=True)
+        token = parser.expect_ident("a generator name")
         if token.text in gens:
             raise ParseError(f"duplicate generator {token.text!r}", token.span)
         gens[token.text] = (DEFAULT_CELL, DEFAULT_CELL)
-        nxt = parser.take(skip_nl=True)
+        nxt = parser.take()
         if _is_sym(nxt, ","):
             continue
         if _is_sym(nxt, "|"):
             break
         raise ParseError(f"expected ',' or '|', found {nxt.text!r}", nxt.span)
     rels: dict[str, Sphere] = {}
-    if _is_sym(parser.peek(skip_nl=True), ">"):
-        parser.take(skip_nl=True)
+    if _is_sym(parser.peek(), ">"):
+        parser.take()
     else:
         index = 1
         while True:
-            lhs_letters, lhs_tok = _parse_word_tokens(parser, gens, {"="}, skip_nl=True)
-            parser.expect_sym("=", skip_nl=True)
-            rhs_letters, rhs_tok = _parse_word_tokens(parser, gens, {",", ">"}, skip_nl=True)
+            lhs_letters, lhs_tok = _parse_word_tokens(parser, gens, {"="})
+            parser.expect_sym("=")
+            rhs_letters, rhs_tok = _parse_word_tokens(parser, gens, {",", ">"})
+            # Every word of the angle form lies at its one 0-cell.
             lhs = _build_word(lhs_letters, gens, DEFAULT_CELL, lhs_tok)
             rhs = _build_word(rhs_letters, gens, DEFAULT_CELL, rhs_tok)
-            if (lhs.src, lhs.tgt) != (rhs.src, rhs.tgt):
-                raise ParseError("relation sides are not parallel", lhs_tok.span)
             rels[f"r{index}"] = (lhs, rhs)
             index += 1
-            nxt = parser.take(skip_nl=True)
+            nxt = parser.take()
             if _is_sym(nxt, ","):
                 continue
             if _is_sym(nxt, ">"):
                 break
             raise ParseError(f"expected ',' or '>', found {nxt.text!r}", nxt.span)
-    tail = parser.take(skip_nl=True)
+    tail = parser.take()
     if tail.kind != "eof":
         raise ParseError(f"unexpected trailing {tail.text!r}", tail.span)
     return Polygraph((DEFAULT_CELL,), gens, rels)
@@ -227,14 +211,14 @@ def _expect_cell_name(parser: _Parser) -> _Token:
 
 
 def _parse_block(parser: _Parser) -> Polygraph:
-    head = parser.expect_ident("'polygraph'", skip_nl=True)
-    if head.text != "polygraph":
-        raise ParseError("a presentation starts with '<' or 'polygraph'", head.span)
+    parser.skip_blank_lines()
+    parser.take()  # "polygraph", which parse() has seen
     cells: list[str] | None = None
     gens: dict[str, tuple[str, str]] = {}
     rels: dict[str, Sphere] = {}
     while True:
-        token = parser.take(skip_nl=True)
+        parser.skip_blank_lines()
+        token = parser.take()
         if token.kind == "eof":
             break
         if token.kind != "ident":
@@ -271,9 +255,9 @@ def _parse_block(parser: _Parser) -> Polygraph:
             if name_token.text in rels:
                 raise ParseError(f"duplicate relation {name_token.text!r}", name_token.span)
             parser.expect_sym(":")
-            lhs_letters, lhs_tok = _parse_word_tokens(parser, gens, {"="}, skip_nl=False)
+            lhs_letters, lhs_tok = _parse_word_tokens(parser, gens, {"="})
             parser.expect_sym("=")
-            rhs_letters, rhs_tok = _parse_word_tokens(parser, gens, {"@"}, skip_nl=False)
+            rhs_letters, rhs_tok = _parse_word_tokens(parser, gens, {"@"})
             at: str | None = None
             if _is_sym(parser.peek(), "@"):
                 parser.take()
@@ -326,12 +310,13 @@ def _parse_block(parser: _Parser) -> Polygraph:
 
 def parse(text: str) -> Polygraph:
     """Parse presentation text (either surface form) into a Polygraph."""
-    parser = _Parser(_tokenize(text))
-    first = parser.peek(skip_nl=True)
+    tokens = _tokenize(text)
+    first = next(token for token in tokens if token.kind != "nl")
     if _is_sym(first, "<"):
-        return _parse_angle(parser)
+        # Newlines mean nothing in the angle form.
+        return _parse_angle(_Parser([token for token in tokens if token.kind != "nl"]))
     if first.kind == "ident" and first.text == "polygraph":
-        return _parse_block(parser)
+        return _parse_block(_Parser(tokens))
     raise ParseError("a presentation starts with '<' or 'polygraph'", first.span)
 
 

@@ -7,6 +7,9 @@ a mandatory derivation witness — and InvT0/InvT1/InvT2 remove such cells
 under the symmetric side conditions.  ``verify`` checks a step without
 applying it, ``apply`` refuses unverified steps, ``transport`` pushes words
 forward through a script, and ``parse_script`` reads the .tz text format.
+A .tz line is split into the tokens of ``model``'s derivation reader, which
+reads its witness; ``format_derivation`` and ``parse_derivation`` are
+``model``'s, re-exported here.
 
 ``synthesize_witness`` finds a derivation with ``oracle.bfs_equal``'s search,
 which grows a ball of raw words around each end until they meet, and replays
@@ -24,20 +27,22 @@ from .model import (
     CancelRight,
     Derivation,
     Gen,
-    Horiz,
     Id,
     Inv,
     Polygraph,
     Sphere,
-    Vert,
     _name_ok,
-    _sexpr,
+    _read_derivation,
+    _tokens,
+    _word_until,
     boundary,
     chain,
+    format_derivation,
+    parse_derivation,
     step as whisker,
 )
 from .oracle import SearchSpace, _meet, default_length_cap
-from .words import Letter, Word, format_word, scan_terms, word_of_runs
+from .words import Letter, Word, format_word
 
 __all__ = [
     "T0",
@@ -376,119 +381,6 @@ def transport(p: Polygraph, steps, word: Word) -> Word:
     return word
 
 
-# -------------------------------------------------------- derivation text
-
-
-def format_derivation(d: Derivation) -> str:
-    """Render a derivation as the s-expression syntax of .tz scripts."""
-    return _sexpr(d)
-
-
-def _split_tokens(text: str) -> list[tuple[str, int]]:
-    """Tokens with their columns in ``text``; parentheses separate, spaces delimit."""
-    tokens: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append((ch, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        tokens.append((text[i:j], i + 1))
-        i = j
-    return tokens
-
-
-class _SexprParser:
-    def __init__(self, tokens: list[tuple[str, int]], line: int, p: Polygraph):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line
-        self.p = p
-
-    def _take(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of derivation", SourceSpan(self.line, 1))
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def _expect(self, text: str) -> None:
-        token, col = self._take()
-        if token != text:
-            raise ParseError(
-                f"expected {text!r}, found {token!r}", SourceSpan(self.line, col)
-            )
-
-    def parse(self) -> Derivation:
-        d = self._node()
-        if self.pos != len(self.tokens):
-            token, col = self.tokens[self.pos]
-            raise ParseError(
-                f"trailing {token!r} after derivation", SourceSpan(self.line, col)
-            )
-        return d
-
-    def _node(self) -> Derivation:
-        # Open (h …), (v …) and (inv …) nodes wait on a stack for their
-        # parts, so nesting depth is not bounded by the recursion limit.
-        open_nodes: list[tuple[str, list[Derivation]]] = []
-        while True:
-            self._expect("(")
-            head, col = self._take()
-            if head in ("h", "v", "inv"):
-                open_nodes.append((head, []))
-                continue
-            node = self._leaf(head, col)
-            while open_nodes:
-                head, parts = open_nodes[-1]
-                parts.append(node)
-                if len(parts) < (1 if head == "inv" else 2):
-                    break
-                open_nodes.pop()
-                self._expect(")")
-                if head == "inv":
-                    node = Inv(parts[0])
-                else:
-                    node = Horiz(*parts) if head == "h" else Vert(*parts)
-            else:
-                return node
-
-    def _leaf(self, head: str, col: int) -> Derivation:
-        if head == "gen":
-            rel, _ = self._take()
-            sign_text, sign_col = self._take()
-            if sign_text not in ("+", "-"):
-                raise ParseError(
-                    f"relation sign must be + or -, found {sign_text!r}",
-                    SourceSpan(self.line, sign_col),
-                )
-            self._expect(")")
-            return Gen(rel, 1 if sign_text == "+" else -1)
-        if head in ("lam", "rho"):
-            gen, _ = self._take()
-            self._expect(")")
-            return CancelLeft(gen) if head == "lam" else CancelRight(gen)
-        if head == "id":
-            word, self.pos = _word_until(self.tokens, self.pos, {")"}, self.p, self.line)
-            self._expect(")")
-            return Id(word)
-        raise ParseError(
-            f"unknown derivation head {head!r}", SourceSpan(self.line, col)
-        )
-
-
-def parse_derivation(text: str, p: Polygraph, line: int = 1) -> Derivation:
-    """Parse one derivation s-expression over the given polygraph."""
-    return _SexprParser(_split_tokens(text), line, p).parse()
-
-
 # ------------------------------------------------------------- .tz scripts
 
 
@@ -499,18 +391,6 @@ def _fresh_rel_name(p: Polygraph, base: str) -> str:
     while f"{base}_{i}" in p.rels:
         i += 1
     return f"{base}_{i}"
-
-
-def _word_until(tokens, start, stops, p: Polygraph, line: int) -> tuple[Word, int]:
-    """The word spelled by the tokens from ``start`` up to a stop token, each
-    term read at its own column, and the index where it ends."""
-    i = start
-    while i < len(tokens) and tokens[i][0] not in stops:
-        i += 1
-    at = p.cells0[0] if len(p.cells0) == 1 else None
-    column = tokens[start][1] if start < len(tokens) else 1
-    runs = scan_terms([(text, line, col) for text, col in tokens[start:i]])
-    return word_of_runs(runs, p.gens, at, SourceSpan(line, column)), i
 
 
 def parse_script(text: str, p: Polygraph) -> list[TietzeStep]:
@@ -537,7 +417,7 @@ def _elaborate(text: str, p: Polygraph) -> tuple[list[TietzeStep], Polygraph]:
     steps: list[TietzeStep] = []
     here = p
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _split_tokens(raw.split("#", 1)[0])
+        tokens = _tokens(raw.split("#", 1)[0])
         if not tokens:
             continue
         head = tokens[0][0]
@@ -569,7 +449,7 @@ def _elaborate(text: str, p: Polygraph) -> tuple[list[TietzeStep], Polygraph]:
             rhs, j = _word_until(tokens, i + 1, {"WITNESS"}, here, line_no)
             if j >= len(tokens) or tokens[j][0] != "WITNESS":
                 raise err("T2 needs a WITNESS derivation")
-            witness = _SexprParser(tokens[j + 1 :], line_no, here).parse()
+            witness = _read_derivation(tokens[j + 1 :], here, line_no)
             step = T2(witness=witness, new_rel=rel, declared=(lhs, rhs))
         elif head == "INV":
             if len(tokens) < 3:
@@ -595,7 +475,7 @@ def _elaborate(text: str, p: Polygraph) -> tuple[list[TietzeStep], Polygraph]:
             elif kind == "T2":
                 if len(tokens) < 5 or tokens[3][0] != "WITNESS":
                     raise err("INV T2 syntax: INV T2 REL WITNESS SEXPR")
-                witness = _SexprParser(tokens[4:], line_no, here).parse()
+                witness = _read_derivation(tokens[4:], here, line_no)
                 step = InvT2(rel=tokens[2][0], witness=witness)
             else:
                 raise err(f"unknown inverse step {kind!r}", tokens[1][1])
@@ -639,8 +519,6 @@ def synthesize_witness(
     no derivation appears within the radius and length cap, or once the
     words searched hold more than ``oracle.MAX_SEARCH_LETTERS`` letters.
     """
-    if len(p.cells0) != 1:
-        raise TietzeError("witness synthesis handles single-0-cell presentations")
     space = SearchSpace(p)
     if length_cap is None:
         length_cap = default_length_cap(len(source), len(target), radius)

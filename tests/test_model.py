@@ -1,5 +1,10 @@
 """Polygraph containers, validation, Euler data, and derivation boundaries."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import props
@@ -216,3 +221,32 @@ def test_a_part_that_is_not_a_derivation_is_ill_typed(b3, junk):
     for d in (junk, Inv(junk), Horiz(a, junk), Vert(junk, a), Vert(a, Inv(junk))):
         with pytest.raises(IllTyped, match="not a derivation node"):
             boundary(b3, d)
+
+
+# Reads and prints a witness in a fresh interpreter, then names every
+# engine module the import loaded: a proof checker needs none of them.
+_CHECKER = """
+import sys
+from polygraph.model import Polygraph, boundary, format_derivation, parse_derivation
+from polygraph.presentations import parse
+p = parse("< a, b | a b a = b a b >")
+text = "(v (h (id a) (gen r1 +)) (inv (h (id a) (gen r1 +))))"
+d = parse_derivation(text, p)
+assert format_derivation(d) == text, format_derivation(d)
+assert boundary(p, d) == (p.word("a a b a"), p.word("a a b a"))
+engines = ("rewriting", "oracle", "tietze", "cayley")
+print(" ".join(name for name in engines if "polygraph." + name in sys.modules))
+"""
+
+
+def test_derivation_text_loads_no_engine_module():
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECKER],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"

@@ -117,5 +117,111 @@ class TestRender:
         assert presentations.parse(text) == p
 
 
+# Every reader error, pinned as the exact text a user sees: line, column
+# and message.  Tabs, carriage returns and comments count as columns, and
+# the end of input sits one past the last character, comment or not.
+_TWO_CELLS = "polygraph\ncells: x y\ngen f : x -> y\ngen g : x -> x\n"
+READER_ERRORS = [
+    ("", "line 1, column 1: a presentation starts with '<' or 'polygraph'"),
+    ("\n\n  \n", "line 4, column 1: a presentation starts with '<' or 'polygraph'"),
+    ("# c", "line 1, column 4: a presentation starts with '<' or 'polygraph'"),
+    ("hello", "line 1, column 1: a presentation starts with '<' or 'polygraph'"),
+    # angle form
+    ("< a | a = 1 # c", "line 1, column 16: expected ',' or '>', found ''"),
+    ("< a |\t\r b = 1 >", "line 1, column 9: unknown generator 'b'"),
+    ("< a-b | >", "line 1, column 3: expected a generator name, found 'a-b'"),
+    ("< α | >", "line 1, column 3: expected a generator name, found 'α'"),
+    ("< , | >", "line 1, column 3: expected a generator name, found ','"),
+    ("< a b | >", "line 1, column 5: expected ',' or '|', found 'b'"),
+    ("< a | a -> 1 >", "line 1, column 9: expected a word term, found '->'"),
+    ("< a | a = 1 | >", "line 1, column 13: expected a word term, found '|'"),
+    ("< a | a - = 1 >", "line 1, column 9: bad word term '-'"),
+    ("< a | a^x = 1 >", "line 1, column 7: bad word term 'a^x'"),
+    ("< a | = a >", "line 1, column 7: expected a word"),
+    ("< a | a", "line 1, column 8: expected '=', found 'end of input'"),
+    ("< a | a = 1", "line 1, column 12: expected ',' or '>', found ''"),
+    ("< a | a = 1 > b", "line 1, column 15: unexpected trailing 'b'"),
+    ("< a | > b", "line 1, column 9: unexpected trailing 'b'"),
+    ("< a\n|\n\n a =\n  b >", "line 5, column 3: unknown generator 'b'"),
+    # block form
+    ("polygraph\n:", "line 2, column 1: expected 'cells:', 'gen' or 'rel', found ':'"),
+    ("polygraph\nfoo", "line 2, column 1: expected 'cells:', 'gen' or 'rel', found 'foo'"),
+    ("polygraph\ncells: x\ncells: y", "line 3, column 1: duplicate cells: line"),
+    (
+        "polygraph\ngen a : * -> *\ncells: x",
+        "line 3, column 1: cells: must come before gen/rel lines",
+    ),
+    ("polygraph\ncells: x x", "line 2, column 10: duplicate 0-cell 'x'"),
+    ("polygraph\ncells: x =", "line 2, column 10: expected a 0-cell name, found '='"),
+    (
+        "polygraph\ngen a : * -> *\ngen a : * -> *",
+        "line 3, column 5: duplicate generator 'a'",
+    ),
+    ("polygraph\ngen a x -> y", "line 2, column 7: expected ':', found 'x'"),
+    ("polygraph\ngen : x -> y", "line 2, column 5: expected a generator name, found ':'"),
+    ("polygraph\ngen a : -> x", "line 2, column 9: expected a 0-cell name, found '->'"),
+    ("polygraph\ngen a : x y", "line 2, column 11: expected '->', found 'y'"),
+    (
+        "polygraph\ncells: x\ngen a : x -> y",
+        "line 3, column 14: endpoint 'y' is not a declared 0-cell",
+    ),
+    (
+        "polygraph\ncells: x\ngen a : x -> x extra",
+        "line 3, column 16: unexpected trailing 'extra'",
+    ),
+    (
+        "polygraph\ncells: x\ngen a : x -> x\nrel 1 : a = a",
+        "line 4, column 5: expected a relation name, found '1'",
+    ),
+    (
+        "polygraph\ncells: x\ngen a : x -> x\nrel r : a = a\nrel r : a = a",
+        "line 5, column 5: duplicate relation 'r'",
+    ),
+    ("polygraph\ncells: x\ngen a : x -> x\nrel r : a = ", "line 4, column 13: expected a word"),
+    (
+        "polygraph\ncells: x\ngen a : x -> x\nrel r : a -> a = 1",
+        "line 4, column 11: expected a word term, found '->'",
+    ),
+    (
+        "polygraph\ncells: x\ngen a : x -> x\nrel r : a = a @ y",
+        "line 4, column 17: basepoint 'y' is not a declared 0-cell",
+    ),
+    (
+        "polygraph\ncells: x\ngen a : x -> x\nrel r : a = a @ x y",
+        "line 4, column 19: unexpected trailing 'y'",
+    ),
+    (_TWO_CELLS + "rel r : f = g", "line 5, column 9: relation sides are not parallel"),
+    (
+        _TWO_CELLS + "rel r : f f = 1",
+        "line 5, column 9: letter f starts at 'x' but the word is at 'y'",
+    ),
+    (
+        _TWO_CELLS + "rel r : 1 = 1",
+        "line 5, column 5: 1 = 1 needs a basepoint: write 'rel r : 1 = 1 @ cell'",
+    ),
+    # blank lines and comments are skipped only between statements
+    (
+        _TWO_CELLS + "rel r : f = f\n\n\t# note\nrel s : g\n",
+        "line 8, column 10: expected '=', found '\\n'",
+    ),
+    (
+        "polygraph\ncells: x\ngen a : x -> x\n\n\n  # c\n  rel r : a = b",
+        "line 7, column 15: unknown generator 'b'",
+    ),
+    (
+        "polygraph\n\ncells: x\n gen",
+        "line 4, column 5: expected a generator name, found 'end of input'",
+    ),
+    ("polygraph gen a : * -> * junk", "line 1, column 26: unexpected trailing 'junk'"),
+]
+
+
+@pytest.mark.parametrize("text, message", READER_ERRORS)
+def test_reader_errors_are_exact(text, message):
+    with pytest.raises(ParseError) as err:
+        presentations.parse(text)
+    assert str(err.value) == message
+
+
 def test_parser_roundtrip_properties():
     assert props.run_parser_roundtrip_suite(seed=41, cases=1000) == 1000

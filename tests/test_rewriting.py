@@ -975,17 +975,30 @@ class TestSerialization:
         assert again.convergent == "unknown"  # certificates never travel
         assert format_system(certify(again)) == text
 
-    def test_parse_rejects_missing_order_header(self):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1, column 1: empty system text"),
+            ("  # c\n\n", "line 1, column 1: empty system text"),
+            ("a a -> 1\n", "line 1, column 1: a system file starts with 'order: a < b < ...'"),
+            ("order: ", "line 1, column 1: empty letter order"),
+            ("order: a <", "line 1, column 1: bad letter ''"),
+            ("order: a < 1", "line 1, column 1: bad letter '1'"),
+            ("order: a^2", "line 1, column 1: bad letter 'a^2'"),
+            ("order: a b", "line 1, column 1: bad letter 'a b'"),
+            ("order: a < a", "line 1, column 1: alphabet letters must be distinct"),
+            ("order: a\na a = 1\n", "line 2, column 1: expected 'lhs -> rhs'"),
+            ("order: a < b\na x -> b", "line 2, column 1: letter 'x' is not in the alphabet"),
+            ("order: a < b\na -> a b", "line 2, column 1: rule must decrease the shortlex order"),
+            ("order: a < b\nb -> b", "line 2, column 1: rule must decrease the shortlex order"),
+        ],
+    )
+    def test_parse_rejects_malformed_text(self, text, message):
         from polygraph.errors import ParseError
 
-        with pytest.raises(ParseError):
-            parse_system("a a -> 1\n")
-
-    def test_parse_rejects_bad_rule_line(self):
-        from polygraph.errors import ParseError
-
-        with pytest.raises(ParseError):
-            parse_system("order: a\na a = 1\n")
+        with pytest.raises(ParseError) as err:
+            parse_system(text)
+        assert str(err.value) == message
 
 
 def test_normal_form_uniqueness_properties():

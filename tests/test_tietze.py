@@ -12,7 +12,7 @@ import pytest
 import props
 from conftest import DATA, load
 from polygraph import oracle, tietze
-from polygraph.errors import ParseError, TietzeError, UnknownGenerator
+from polygraph.errors import MultiObjectUnsupported, ParseError, TietzeError, UnknownGenerator
 from polygraph.model import Gen, Horiz, Id, Inv, Vert, boundary, chain, euler_data
 from polygraph.oracle import SearchSpace
 from polygraph.presentations import parse
@@ -258,6 +258,21 @@ class TestInverse:
         with pytest.raises(TietzeError, match="unknown relation"):
             inverse(b3, InvT1(gen="c", rel="def_c"))
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (InvT0(cell="y", gen="zz"), "unknown generator 'zz'"),
+            (InvT1(gen="c", rel="zz"), "unknown relation 'zz'"),
+            (InvT1(gen="a", rel="r1"), "relation 'r1' does not define 'a'"),
+            (InvT2(rel="zz", witness=Gen("r1", 1)), "unknown relation 'zz'"),
+            ("junk", "not a Tietze step: 'junk'"),
+        ],
+    )
+    def test_refusals_name_the_missing_part(self, b3, step, message):
+        with pytest.raises(TietzeError) as err:
+            inverse(b3, step)
+        assert str(err.value) == message
+
 
 class TestTransport:
     def test_additions_leave_letters_unchanged(self, b3):
@@ -366,15 +381,48 @@ class TestDerivationText:
         ]:
             assert format_derivation(parse_derivation(text, z5)) == text
 
-    def test_parse_errors_are_positioned(self, z5):
-        with pytest.raises(ParseError, match="sign must be"):
-            parse_derivation("(gen r1 *)", z5)
-        with pytest.raises(ParseError, match="unknown derivation head"):
-            parse_derivation("(foo)", z5)
-        with pytest.raises(ParseError, match="unexpected end"):
-            parse_derivation("(gen r1 +", z5)
-        with pytest.raises(ParseError, match="trailing"):
-            parse_derivation("(id a) (id a)", z5)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1, column 1: unexpected end of derivation"),
+            ("(", "line 1, column 1: unexpected end of derivation"),
+            (")", "line 1, column 1: expected '(', found ')'"),
+            ("gen", "line 1, column 1: expected '(', found 'gen'"),
+            ("(gen r1 +", "line 1, column 1: unexpected end of derivation"),
+            ("(gen r1 *)", "line 1, column 9: relation sign must be + or -, found '*'"),
+            ("(gen r1 + x)", "line 1, column 11: expected ')', found 'x'"),
+            ("(lam a", "line 1, column 1: unexpected end of derivation"),
+            ("(lam a b)", "line 1, column 8: expected ')', found 'b'"),
+            ("(id a", "line 1, column 1: unexpected end of derivation"),
+            ("(id zz)", "line 1, column 5: unknown generator 'zz'"),
+            ("(id a ( b)", "line 1, column 7: bad word term '('"),
+            ("(id 1 a)", "line 1, column 7: the identity word '1' stands alone"),
+            (
+                "(id a^99999999)",
+                "line 1, column 5: word exceeds MAX_WORD_LETTERS (1000000 letters)",
+            ),
+            ("(h (id a))", "line 1, column 10: expected '(', found ')'"),
+            ("(h (id a) (id a) (id a))", "line 1, column 18: expected ')', found '('"),
+            ("(v (gen r1 +)", "line 1, column 1: unexpected end of derivation"),
+            ("(inv (gen r1 +) (gen r1 +))", "line 1, column 17: expected ')', found '('"),
+            ("(inv)", "line 1, column 5: expected '(', found ')'"),
+            ("(foo)", "line 1, column 2: unknown derivation head 'foo'"),
+            ("((gen r1 +))", "line 1, column 2: unknown derivation head '('"),
+            ("(gen r1 +) )", "line 1, column 12: trailing ')' after derivation"),
+            ("(id a) (id a)", "line 1, column 8: trailing '(' after derivation"),
+            ("(id a)(id a)", "line 1, column 7: trailing '(' after derivation"),
+        ],
+    )
+    def test_parse_errors_are_positioned(self, b3, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_derivation(text, b3)
+        assert str(err.value) == message
+
+    def test_tokens_need_no_spaces_around_parentheses(self, b3):
+        assert format_derivation(parse_derivation("(h(id a)(id\tb))", b3)) == "(h (id a) (id b))"
+        # A relation or generator name is any token, a parenthesis included;
+        # boundary() is what refuses it.
+        assert parse_derivation("(gen ) +)", b3) == Gen(")", 1)
 
 
 class TestParseScript:
@@ -402,6 +450,15 @@ class TestParseScript:
         assert str(err.value).startswith("line 1: T1 does not verify:")
         assert err.value.state == b3
 
+    def test_a_failing_script_step_keeps_the_state_before_it(self, b3):
+        first = T1(word=b3.word("b a"), new_gen="c", new_rel="def_c")
+        second = T0(at="*", new_cell="y", new_gen="f")
+        clash = T1(word=b3.word("a"), new_gen="c", new_rel="d2")
+        with pytest.raises(TietzeError) as err:
+            apply_script(b3, [first, second, clash])
+        assert str(err.value) == "step 3 (T1): generator 'c' already exists"
+        assert err.value.state == apply(apply(b3, first), second)
+
     def test_each_t2_step_is_checked_once_per_application(self, b3, monkeypatch):
         calls = []
 
@@ -422,16 +479,48 @@ class TestParseScript:
             parse_script(script, b3)
         assert err.value.span.line == 3
 
-    def test_syntax_errors(self, b3):
-        with pytest.raises(ParseError, match="unknown step 'T9'"):
-            parse_script("T9 x", b3)
-        with pytest.raises(ParseError, match="needs a WITNESS"):
-            parse_script("T2 r : a b a = b a b", b3)
-        with pytest.raises(ParseError, match="T1 syntax"):
-            parse_script("T1 c = b a", b3)
-        with pytest.raises(ParseError, match="unknown step 'T9'") as err:
-            parse_script("   T9 x", b3)
-        assert err.value.span.column == 4  # the step's head, after the indent
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ("T9 x", "line 1, column 1: unknown step 'T9'"),
+            ("   T9 x", "line 1, column 4: unknown step 'T9'"),
+            ("T1 c = b a", "line 1, column 1: T1 syntax: T1 GEN := WORD"),
+            ("T2 r : a b a = b a b", "line 1, column 1: T2 needs a WITNESS derivation"),
+            ("T0 y f *", "line 1, column 1: T0 syntax: T0 CELL GEN : AT"),
+            ("T0 y f : * extra", "line 1, column 1: T0 syntax: T0 CELL GEN : AT"),
+            ("T1 c := ", "line 1, column 1: T1 syntax: T1 GEN := WORD"),
+            ("T1 c := a(b)", "line 1, column 10: bad word term '('"),
+            ("T2 r = a", "line 1, column 1: T2 syntax: T2 REL : WORD = WORD WITNESS SEXPR"),
+            ("T2 r : a b", "line 1, column 1: T2 relation needs an = between its sides"),
+            (
+                "T2 r : a b a b a b WITNESS (gen r1 +)",
+                "line 1, column 28: bad word term '('",
+            ),
+            ("T2 r : a b a = b a b WITNESS", "line 1, column 1: unexpected end of derivation"),
+            (
+                "T2 r : a b a = b a b WITNESS (gen r1 +) x",
+                "line 1, column 41: trailing 'x' after derivation",
+            ),
+            ("INV T1", "line 1, column 1: INV syntax: INV T0|T1|T2 ..."),
+            ("INV T0 y f g", "line 1, column 1: INV T0 syntax: INV T0 CELL GEN"),
+            ("INV T1 a b", "line 1, column 1: INV T1 syntax: INV T1 GEN"),
+            (
+                "INV T2 r1 (gen r1 +)",
+                "line 1, column 1: INV T2 syntax: INV T2 REL WITNESS SEXPR",
+            ),
+            ("INV T3 x", "line 1, column 5: unknown inverse step 'T3'"),
+            ("   # only\n\n  T5", "line 3, column 3: unknown step 'T5'"),
+        ],
+    )
+    def test_syntax_errors(self, b3, script, message):
+        with pytest.raises(ParseError) as err:
+            parse_script(script, b3)
+        assert str(err.value) == message
+
+    def test_a_comment_ends_the_line(self, b3):
+        assert parse_script("T1 c := a # b zz", b3) == [
+            T1(word=b3.word("a"), new_gen="c", new_rel="def_c")
+        ]
 
     @pytest.mark.parametrize(
         "line",
@@ -472,6 +561,13 @@ class TestSynthesizeWitness:
     def test_equal_words_get_an_identity_witness(self, z5):
         word = z5.word("a a")
         assert synthesize_witness(z5, word, word) == Id(word)
+
+    def test_several_0_cells_are_refused_as_the_search_refuses_them(self):
+        p = parse(TYPED)
+        word = p.word("f g", "x")
+        with pytest.raises(MultiObjectUnsupported) as err:
+            synthesize_witness(p, word, word)
+        assert str(err.value) == "word search needs exactly one 0-cell, got 2"
 
     def test_foreign_generators_are_unknown(self, b3):
         z = Word((Letter("z", 1),), "*", "*")

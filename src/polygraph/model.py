@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import IllTyped, ParseError, SourceSpan, TietzeError, UnknownCell
+from .errors import IllTyped, ParseError, SourceSpan, UnknownCell
 from .words import Letter, Word, format_word, parse_word, scan_terms, word_of_runs
 
 __all__ = [
@@ -388,7 +388,7 @@ def chain(moves: Iterable[Derivation]) -> Derivation:
 # Derivation text
 
 
-_SEXPR_PARTS = {  # a node's s-expression: literal text and children, in order
+_SEXPR_PARTS = {  # a node's s-expression: literal text at even slots, children at odd
     Gen: lambda d: [f"(gen {d.rel} {'+' if d.sign > 0 else '-'})"],
     Horiz: lambda d: ["(h ", d.left, " ", d.right, ")"],
     Vert: lambda d: ["(v ", d.first, " ", d.second, ")"],
@@ -402,15 +402,16 @@ _SEXPR_PARTS = {  # a node's s-expression: literal text and children, in order
 def format_derivation(d: Derivation) -> str:
     """Render a derivation as the s-expression syntax of .tz scripts."""
     out: list[str] = []
-    todo: list[Derivation | str] = [d]  # nodes still to render, and literal text
+    todo: list[tuple[object, bool]] = [(d, False)]  # (item still to render, literal text?)
     while todo:
-        item = todo.pop()
-        if isinstance(item, str):
+        item, text = todo.pop()
+        if text:
             out.append(item)
         elif type(item) in _SEXPR_PARTS:
-            todo += reversed(_SEXPR_PARTS[type(item)](item))
+            parts = _SEXPR_PARTS[type(item)](item)
+            todo += ((parts[k], k % 2 == 0) for k in reversed(range(len(parts))))
         else:
-            raise TietzeError(f"not a derivation node: {item!r}")
+            raise IllTyped(f"not a derivation node: {item!r}")
     return "".join(out)
 
 

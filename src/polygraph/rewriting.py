@@ -952,7 +952,8 @@ def format_system(system: RewritingSystem) -> str:
 
 
 def parse_system(text: str) -> RewritingSystem:
-    """Read the format_system() text back; the result is convergence-unknown."""
+    """Read the format_system() text back; the result is convergence-unknown.
+    A ParseError points at the offending letter, or at the line's start."""
     lines = text.splitlines()
     alphabet: Alphabet | None = None
     rules: list[Rule] = []
@@ -961,34 +962,45 @@ def parse_system(text: str) -> RewritingSystem:
         line = body.strip()
         if not line:
             continue
+        start = SourceSpan(lineno, len(body) - len(body.lstrip()) + 1)
         if alphabet is None:
             if not line.startswith("order:"):
-                raise ParseError(
-                    "a system file starts with 'order: a < b < ...'",
-                    SourceSpan(lineno, 1),
-                )
-            letters = [part.strip() for part in line[len("order:"):].split("<")]
-            if letters == [""]:
-                raise ParseError("empty letter order", SourceSpan(lineno, 1))
-            for name in letters:
+                raise ParseError("a system file starts with 'order: a < b < ...'", start)
+            rest = line[len("order:"):]
+            if not rest.strip():
+                raise ParseError("empty letter order", start)
+            letters: list[str] = []
+            column = start.column + len("order:")  # where the next part starts
+            for part in rest.split("<"):
+                name = part.strip()
+                at = SourceSpan(lineno, column + len(part) - len(part.lstrip()))
+                column += len(part) + 1
                 # A letter name is word text for exactly one letter: itself.
-                runs = scan_word(name, lineno)
+                runs = scan_word(name, lineno, at.column)
                 if [(_letter_name(g, s), c) for g, s, c, _, _ in runs] != [(name, 1)]:
-                    raise ParseError(f"bad letter {name!r}", SourceSpan(lineno, 1))
+                    raise ParseError(f"bad letter {name!r}", at)
+                if name in letters:
+                    raise ParseError("alphabet letters must be distinct", at)
+                letters.append(name)
             try:
                 alphabet = Alphabet(letters)
             except ValueError as exc:
-                raise ParseError(str(exc), SourceSpan(lineno, 1)) from exc
+                raise ParseError(str(exc), start) from exc
             continue
         arrow = body.find("->")
         if arrow < 0:
-            raise ParseError("expected 'lhs -> rhs'", SourceSpan(lineno, 1))
+            raise ParseError("expected 'lhs -> rhs'", start)
         lhs = scan_word(body[:arrow], lineno)
         rhs = scan_word(body[arrow + 2:], lineno, arrow + 3)
         try:
             rules.append(Rule(alphabet.encode_runs(lhs), alphabet.encode_runs(rhs)))
-        except (UnknownGenerator, ValueError) as exc:
-            raise ParseError(str(exc), SourceSpan(lineno, 1)) from exc
+        except UnknownGenerator as exc:
+            column = next(
+                c for g, s, _, _, c in lhs + rhs if _letter_name(g, s) not in alphabet.letters
+            )
+            raise ParseError(str(exc), SourceSpan(lineno, column)) from exc
+        except ValueError as exc:
+            raise ParseError(str(exc), start) from exc
     if alphabet is None:
         raise ParseError("empty system text", SourceSpan(1, 1))
     return RewritingSystem(alphabet, rules)

@@ -4,9 +4,11 @@ Six step kinds transform a polygraph without changing the group it presents:
 T0 adjoins a 0-cell with a connecting generator, T1 adjoins a generator with
 its defining relation, T2 adjoins a relation that is already derivable — with
 a mandatory derivation witness — and InvT0/InvT1/InvT2 remove such cells
-under the symmetric side conditions.  ``verify`` checks a step without
-applying it, ``apply`` refuses unverified steps, ``transport`` pushes words
-forward through a script, and ``parse_script`` reads the .tz text format.
+under the symmetric side conditions.  ``apply`` checks a step and builds the
+next presentation in one pass, and ``verify`` is that check with its
+TietzeError returned as a StepCheck; every refusal, ``inverse``'s and
+``transport``'s too, is a TietzeError naming the missing part.  ``transport``
+pushes words forward through a script, and ``parse_script`` reads .tz text.
 A .tz line is split into the tokens of ``model``'s derivation reader, which
 reads its witness; ``format_derivation`` and ``parse_derivation`` are
 ``model``'s, re-exported here.
@@ -141,141 +143,81 @@ class StepCheck:
         return self.ok
 
 
-_OK = StepCheck(True)
+def _known(name: str, names, kind: str) -> None:
+    if name not in names:
+        raise TietzeError(f"unknown {kind} {name!r}")
 
 
-def _fail(reason: str) -> StepCheck:
-    return StepCheck(False, reason)
+def _fresh(*news: tuple[str, object, str]) -> None:
+    """Refuse malformed new names, then taken ones; each is (name, taken, kind)."""
+    for name, _, _ in news:
+        if not _name_ok(name):
+            raise TietzeError("new names must be nonempty and whitespace-free")
+    for name, taken, kind in news:
+        if name in taken:
+            raise TietzeError(f"{kind} {name!r} already exists")
 
 
-def _defining_sides(p: Polygraph, rel: str, gen: str) -> Word | None:
-    """The defining word if relation ``rel`` has shape (w, gen) or (gen, w)."""
-    lhs, rhs = p.rels[rel]
-    gen_word = (Letter(gen, 1),)
-    if rhs.letters == gen_word:
-        return lhs
-    if lhs.letters == gen_word:
-        return rhs
-    return None
+def _mismatch(got: Sphere, want: Sphere, role: str) -> TietzeError:
+    return TietzeError(
+        "boundary mismatch: witness proves "
+        f"{format_word(got[0])} = {format_word(got[1])}, {role} "
+        f"{format_word(want[0])} = {format_word(want[1])}"
+    )
 
 
 def _occurs(word: Word, gen: str) -> bool:
     return any(letter.gen == gen for letter in word.letters)
 
 
+def _users(p: Polygraph, gen: str, cell: str | None = None):
+    """The relations, in order, whose sides use generator ``gen`` or end at
+    0-cell ``cell``, each with whether it is the cell they touch."""
+    for rel, (lhs, rhs) in p.rels.items():
+        if cell in (lhs.src, lhs.tgt, rhs.src, rhs.tgt):
+            yield rel, True
+        elif _occurs(lhs, gen) or _occurs(rhs, gen):
+            yield rel, False
+
+
+def _definition(
+    p: Polygraph, gen: str, rel: str, misfit: str = "does not define {gen!r}"
+) -> tuple[Word, bool]:
+    """The word relation ``rel`` defines generator ``gen`` by, read off a
+    relation (word, gen) or (gen, word), and whether ``gen`` is its left
+    side; ``misfit`` words the refusal of a relation of another shape."""
+    _known(rel, p.rels, "relation")
+    lhs, rhs = p.rels[rel]
+    gen_word = (Letter(gen, 1),)
+    if gen_word not in (lhs.letters, rhs.letters):
+        raise TietzeError(f"relation {rel!r} " + misfit.format(gen=gen))
+    return (lhs if rhs.letters == gen_word else rhs), lhs.letters == gen_word
+
+
 def verify(p: Polygraph, step: TietzeStep) -> StepCheck:
     """Check a step's side conditions against ``p`` without applying it."""
-    if isinstance(step, T0):
-        if step.at not in p.cells0:
-            return _fail(f"unknown 0-cell {step.at!r}")
-        if not _name_ok(step.new_cell) or not _name_ok(step.new_gen):
-            return _fail("new names must be nonempty and whitespace-free")
-        if step.new_cell in p.cells0:
-            return _fail(f"0-cell {step.new_cell!r} already exists")
-        if step.new_gen in p.gens:
-            return _fail(f"generator {step.new_gen!r} already exists")
-        return _OK
-    if isinstance(step, T1):
-        if not _name_ok(step.new_gen) or not _name_ok(step.new_rel):
-            return _fail("new names must be nonempty and whitespace-free")
-        if step.new_gen in p.gens:
-            return _fail(f"generator {step.new_gen!r} already exists")
-        if step.new_rel in p.rels:
-            return _fail(f"relation {step.new_rel!r} already exists")
-        try:
-            Word.from_letters(step.word.letters, p.gens, at=step.word.src)
-        except Exception as exc:
-            return _fail(f"defining word is not valid here: {exc}")
-        return _OK
-    if isinstance(step, T2):
-        if not _name_ok(step.new_rel):
-            return _fail("new names must be nonempty and whitespace-free")
-        if step.new_rel in p.rels:
-            return _fail(f"relation {step.new_rel!r} already exists")
-        try:
-            sphere = boundary(p, step.witness)
-        except Exception as exc:
-            return _fail(f"witness does not check: {exc}")
-        if step.declared is not None and sphere != step.declared:
-            lhs, rhs = step.declared
-            got_l, got_r = sphere
-            return _fail(
-                "boundary mismatch: witness proves "
-                f"{format_word(got_l)} = {format_word(got_r)}, declared "
-                f"{format_word(lhs)} = {format_word(rhs)}"
-            )
-        return _OK
-    if isinstance(step, InvT0):
-        if step.cell not in p.cells0:
-            return _fail(f"unknown 0-cell {step.cell!r}")
-        if step.gen not in p.gens:
-            return _fail(f"unknown generator {step.gen!r}")
-        src, tgt = p.gens[step.gen]
-        if tgt != step.cell:
-            return _fail(f"generator {step.gen!r} does not target {step.cell!r}")
-        if src == step.cell:
-            return _fail(f"generator {step.gen!r} is a loop at {step.cell!r}")
-        for other, (osrc, otgt) in p.gens.items():
-            if other == step.gen:
-                continue
-            if step.cell in (osrc, otgt):
-                return _fail(f"0-cell {step.cell!r} still touches generator {other!r}")
-        for rel, (lhs, rhs) in p.rels.items():
-            if step.cell in (lhs.src, lhs.tgt, rhs.src, rhs.tgt):
-                return _fail(f"0-cell {step.cell!r} appears in relation {rel!r}")
-            if _occurs(lhs, step.gen) or _occurs(rhs, step.gen):
-                return _fail(f"generator {step.gen!r} appears in relation {rel!r}")
-        return _OK
-    if isinstance(step, InvT1):
-        if step.gen not in p.gens:
-            return _fail(f"unknown generator {step.gen!r}")
-        if step.rel not in p.rels:
-            return _fail(f"unknown relation {step.rel!r}")
-        defining = _defining_sides(p, step.rel, step.gen)
-        if defining is None:
-            return _fail(
-                f"relation {step.rel!r} is not of shape (word, {step.gen})"
-            )
-        if _occurs(defining, step.gen):
-            return _fail(f"defining word mentions {step.gen!r} itself")
-        for rel, (lhs, rhs) in p.rels.items():
-            if rel == step.rel:
-                continue
-            if _occurs(lhs, step.gen) or _occurs(rhs, step.gen):
-                return _fail("generator still used: "
-                             f"{step.gen!r} appears in relation {rel!r}")
-        return _OK
-    if isinstance(step, InvT2):
-        if step.rel not in p.rels:
-            return _fail(f"unknown relation {step.rel!r}")
-        remaining = p.copy()
-        del remaining.rels[step.rel]
-        try:
-            sphere = boundary(remaining, step.witness)
-        except Exception as exc:
-            return _fail(f"witness does not check over the other relations: {exc}")
-        if sphere != p.rels[step.rel]:
-            lhs, rhs = p.rels[step.rel]
-            got_l, got_r = sphere
-            return _fail(
-                "boundary mismatch: witness proves "
-                f"{format_word(got_l)} = {format_word(got_r)}, removing "
-                f"{format_word(lhs)} = {format_word(rhs)}"
-            )
-        return _OK
-    return _fail(f"not a Tietze step: {step!r}")
+    try:
+        apply(p, step)
+    except TietzeError as exc:
+        return StepCheck(False, str(exc))
+    return StepCheck(True)
 
 
 def apply(p: Polygraph, step: TietzeStep) -> Polygraph:
-    """Apply a verified step, returning a new polygraph."""
-    check = verify(p, step)
-    if not check:
-        raise TietzeError(check.reason or "step failed verification")
+    """Check a step's side conditions against ``p`` and build the polygraph
+    it leads to; TietzeError names the first condition that fails."""
     out = p.copy()
     if isinstance(step, T0):
+        _known(step.at, p.cells0, "0-cell")
+        _fresh((step.new_cell, p.cells0, "0-cell"), (step.new_gen, p.gens, "generator"))
         out.cells0 = out.cells0 + (step.new_cell,)
         out.gens[step.new_gen] = (step.at, step.new_cell)
     elif isinstance(step, T1):
+        _fresh((step.new_gen, p.gens, "generator"), (step.new_rel, p.rels, "relation"))
+        try:
+            Word.from_letters(step.word.letters, p.gens, at=step.word.src)
+        except Exception as exc:
+            raise TietzeError(f"defining word is not valid here: {exc}") from exc
         out.gens[step.new_gen] = (step.word.src, step.word.tgt)
         gen_word = Word((Letter(step.new_gen, 1),), step.word.src, step.word.tgt)
         if step.gen_on_left:
@@ -283,16 +225,53 @@ def apply(p: Polygraph, step: TietzeStep) -> Polygraph:
         else:
             out.rels[step.new_rel] = (step.word, gen_word)
     elif isinstance(step, T2):
-        sphere = step.declared  # verify() proved boundary(p, witness) == declared
-        out.rels[step.new_rel] = sphere if sphere is not None else boundary(p, step.witness)
+        _fresh((step.new_rel, p.rels, "relation"))
+        try:
+            sphere = boundary(p, step.witness)
+        except Exception as exc:
+            raise TietzeError(f"witness does not check: {exc}") from exc
+        if step.declared is not None and sphere != step.declared:
+            raise _mismatch(sphere, step.declared, "declared")
+        out.rels[step.new_rel] = sphere
     elif isinstance(step, InvT0):
+        _known(step.cell, p.cells0, "0-cell")
+        _known(step.gen, p.gens, "generator")
+        src, tgt = p.gens[step.gen]
+        if tgt != step.cell:
+            raise TietzeError(f"generator {step.gen!r} does not target {step.cell!r}")
+        if src == step.cell:
+            raise TietzeError(f"generator {step.gen!r} is a loop at {step.cell!r}")
+        for other, ends in p.gens.items():
+            if other != step.gen and step.cell in ends:
+                raise TietzeError(f"0-cell {step.cell!r} still touches generator {other!r}")
+        for rel, on_cell in _users(p, step.gen, step.cell):
+            what = f"0-cell {step.cell!r}" if on_cell else f"generator {step.gen!r}"
+            raise TietzeError(f"{what} appears in relation {rel!r}")
         out.cells0 = tuple(c for c in out.cells0 if c != step.cell)
         del out.gens[step.gen]
     elif isinstance(step, InvT1):
+        _known(step.gen, p.gens, "generator")
+        defining, _ = _definition(p, step.gen, step.rel, "is not of shape (word, {gen})")
+        if _occurs(defining, step.gen):
+            raise TietzeError(f"defining word mentions {step.gen!r} itself")
+        for rel, _ in _users(p, step.gen):
+            if rel != step.rel:
+                raise TietzeError(
+                    f"generator still used: {step.gen!r} appears in relation {rel!r}"
+                )
         del out.gens[step.gen]
         del out.rels[step.rel]
     elif isinstance(step, InvT2):
+        _known(step.rel, p.rels, "relation")
         del out.rels[step.rel]
+        try:
+            sphere = boundary(out, step.witness)
+        except Exception as exc:
+            raise TietzeError(f"witness does not check over the other relations: {exc}") from exc
+        if sphere != p.rels[step.rel]:
+            raise _mismatch(sphere, p.rels[step.rel], "removing")
+    else:
+        raise TietzeError(f"not a Tietze step: {step!r}")
     return out
 
 
@@ -322,26 +301,13 @@ def inverse(p: Polygraph, step: TietzeStep) -> TietzeStep:
     if isinstance(step, T2):
         return InvT2(rel=step.new_rel, witness=step.witness)
     if isinstance(step, InvT0):
-        if step.gen not in p.gens:
-            raise TietzeError(f"unknown generator {step.gen!r}")
+        _known(step.gen, p.gens, "generator")
         return T0(at=p.gens[step.gen][0], new_cell=step.cell, new_gen=step.gen)
     if isinstance(step, InvT1):
-        if step.rel not in p.rels:
-            raise TietzeError(f"unknown relation {step.rel!r}")
-        defining = _defining_sides(p, step.rel, step.gen)
-        if defining is None:
-            raise TietzeError(f"relation {step.rel!r} does not define {step.gen!r}")
-        lhs, _ = p.rels[step.rel]
-        gen_on_left = lhs.letters == (Letter(step.gen, 1),)
-        return T1(
-            word=defining,
-            new_gen=step.gen,
-            new_rel=step.rel,
-            gen_on_left=gen_on_left,
-        )
+        defining, gen_on_left = _definition(p, step.gen, step.rel)
+        return T1(word=defining, new_gen=step.gen, new_rel=step.rel, gen_on_left=gen_on_left)
     if isinstance(step, InvT2):
-        if step.rel not in p.rels:
-            raise TietzeError(f"unknown relation {step.rel!r}")
+        _known(step.rel, p.rels, "relation")
         return T2(witness=step.witness, new_rel=step.rel, declared=p.rels[step.rel])
     raise TietzeError(f"not a Tietze step: {step!r}")
 
@@ -351,15 +317,15 @@ def transport(p: Polygraph, steps, word: Word) -> Word:
 
     Additions embed words unchanged; InvT1 substitutes the defining word for
     each occurrence of the removed generator (inverted for inverse letters).
-    Raises UnknownGenerator if the word uses a generator removed by InvT0.
+    Raises UnknownGenerator if the word uses a generator removed by InvT0,
+    and TietzeError for a step that does not fit.
     """
     here = p
     for step in steps:
+        letters = word.letters
         if isinstance(step, InvT1):
-            defining = _defining_sides(here, step.rel, step.gen)
-            if defining is None:
-                raise TietzeError(f"relation {step.rel!r} does not define {step.gen!r}")
-            letters: list[Letter] = []
+            defining, _ = _definition(here, step.gen, step.rel)
+            letters = []
             for letter in word.letters:
                 if letter.gen != step.gen:
                     letters.append(letter)
@@ -367,17 +333,13 @@ def transport(p: Polygraph, steps, word: Word) -> Word:
                     letters.extend(defining.letters)
                 else:
                     letters.extend(defining.invert().letters)
-            next_p = apply(here, step)
-            word = Word.from_letters(letters, next_p.gens, at=word.src)
-            here = next_p
-            continue
         here = apply(here, step)
         if isinstance(step, InvT0) and _occurs(word, step.gen):
             raise UnknownGenerator(
                 f"word uses generator {step.gen!r}, removed by InvT0"
             )
-        # Re-anchor the word over the new polygraph (letters unchanged).
-        word = Word.from_letters(word.letters, here.gens, at=word.src)
+        # Re-anchor the word over the new polygraph.
+        word = Word.from_letters(letters, here.gens, at=word.src)
     return word
 
 
@@ -464,7 +426,9 @@ def _elaborate(text: str, p: Polygraph) -> tuple[list[TietzeStep], Polygraph]:
                     raise err("INV T1 syntax: INV T1 GEN")
                 gen = tokens[2][0]
                 owners = [
-                    rel for rel in here.rels if _defining_sides(here, rel, gen) is not None
+                    rel
+                    for rel, (lhs, rhs) in here.rels.items()
+                    if (Letter(gen, 1),) in (lhs.letters, rhs.letters)
                 ]
                 if len(owners) != 1:
                     raise err(

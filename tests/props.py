@@ -10,11 +10,12 @@ from the hand-picked examples.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 
 from polygraph import presentations, tietze
-from polygraph.errors import ParseError, StepLimitExceeded, UnknownGenerator
+from polygraph.errors import ParseError, StepLimitExceeded, TietzeError, UnknownGenerator
 from polygraph.model import (
     CancelLeft,
     CancelRight,
@@ -208,6 +209,27 @@ def random_tietze_case(
     return tietze.apply(p, fwd), tietze.inverse(p, fwd)
 
 
+def spoil_tietze_step(p: Polygraph, s, rng: random.Random):
+    """``s`` with one field replaced by a value that is often refused over
+    ``p`` (a taken, malformed or unknown name, a foreign word, another
+    witness or sphere, a flipped side), or a value that is no step at all."""
+    if rng.random() < 0.1:
+        return "junk"
+    name = rng.choice([f.name for f in dataclasses.fields(s)])
+    value = getattr(s, name)
+    if isinstance(value, bool):
+        new = not value
+    elif isinstance(value, str):
+        new = rng.choice([*p.cells0, *p.gens, *p.rels, "", "x y", "zz"])
+    elif isinstance(value, Word):
+        new = random_walk(random_polygraph(rng), rng, max_len=4)
+    elif name == "declared":
+        new = random_rewrite(p, rng)[1:] if value is None else value[::-1]
+    else:
+        new = rng.choice([Gen("zz", 1), random_rewrite(p, rng)[0]])
+    return dataclasses.replace(s, **{name: new})
+
+
 # ------------------------------------------------------------------- suites
 
 
@@ -311,6 +333,30 @@ def run_tietze_cancellation_suite(seed: int = 0, cases: int = 1000) -> int:
         assert tietze.apply(after, back) == state
         again = tietze.inverse(after, back)
         assert tietze.apply(state, again) == after
+        ran += 1
+    return ran
+
+
+def run_verify_apply_suite(seed: int = 0, cases: int = 300) -> int:
+    """verify accepts exactly the steps apply takes, and a refusal's reason
+    is the message apply raises; most steps are spoiled first."""
+    rng = random.Random(seed)
+    ran = 0
+    while ran < cases:
+        p = random_polygraph(rng, max_cells=2, max_gens=4, max_rels=3)
+        case = random_tietze_case(p, rng)
+        if case is None:
+            continue
+        state, s = case
+        if rng.random() < 0.6:
+            s = spoil_tietze_step(state, s, rng)
+        check = tietze.verify(state, s)
+        try:
+            tietze.apply(state, s)
+        except TietzeError as exc:
+            assert (check.ok, check.reason) == (False, str(exc))
+        else:
+            assert check.ok
         ran += 1
     return ran
 

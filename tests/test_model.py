@@ -223,6 +223,13 @@ def test_a_part_that_is_not_a_derivation_is_ill_typed(b3, junk):
             boundary(b3, d)
 
 
+@pytest.mark.parametrize("junk", ["junk", 3])
+def test_printing_a_part_that_is_not_a_derivation_is_ill_typed(junk):
+    with pytest.raises(IllTyped) as err:
+        repr(Inv(junk))
+    assert str(err.value) == f"not a derivation node: {junk!r}"
+
+
 # Reads and prints a witness in a fresh interpreter, then names every
 # engine module the import loaded: a proof checker needs none of them.
 _CHECKER = """

@@ -982,13 +982,16 @@ class TestSerialization:
             ("  # c\n\n", "line 1, column 1: empty system text"),
             ("a a -> 1\n", "line 1, column 1: a system file starts with 'order: a < b < ...'"),
             ("order: ", "line 1, column 1: empty letter order"),
-            ("order: a <", "line 1, column 1: bad letter ''"),
-            ("order: a < 1", "line 1, column 1: bad letter '1'"),
-            ("order: a^2", "line 1, column 1: bad letter 'a^2'"),
-            ("order: a b", "line 1, column 1: bad letter 'a b'"),
-            ("order: a < a", "line 1, column 1: alphabet letters must be distinct"),
+            ("order: a <", "line 1, column 11: bad letter ''"),
+            ("order: a < 1", "line 1, column 12: bad letter '1'"),
+            ("order: a^2", "line 1, column 8: bad letter 'a^2'"),
+            ("order: a b", "line 1, column 8: bad letter 'a b'"),
+            ("order: a < a", "line 1, column 12: alphabet letters must be distinct"),
             ("order: a\na a = 1\n", "line 2, column 1: expected 'lhs -> rhs'"),
-            ("order: a < b\na x -> b", "line 2, column 1: letter 'x' is not in the alphabet"),
+            ("order: a < b\na x -> b", "line 2, column 3: letter 'x' is not in the alphabet"),
+            ("order: a < b\nb -> a x", "line 2, column 8: letter 'x' is not in the alphabet"),
+            ("  order: a <b<  b", "line 1, column 17: alphabet letters must be distinct"),
+            ("order: a\n  a -> b", "line 2, column 8: letter 'b' is not in the alphabet"),
             ("order: a < b\na -> a b", "line 2, column 1: rule must decrease the shortlex order"),
             ("order: a < b\nb -> b", "line 2, column 1: rule must decrease the shortlex order"),
         ],

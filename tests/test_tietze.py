@@ -141,8 +141,8 @@ class TestT2:
 
         monkeypatch.setattr(tietze, "boundary", counting_boundary)
         after = apply(b3c, T2(witness=witness, new_rel="r2"))
-        # One call checks the witness, the other derives the relation.
-        assert calls == [witness, witness]
+        # The one call that checks the witness also derives the relation.
+        assert calls == [witness]
         assert after.rels["r2"] == boundary(b3c, witness)
 
     def test_broken_witnesses_are_reported(self, b3):
@@ -232,6 +232,86 @@ class TestInvT2:
         assert "boundary mismatch" in check.reason
 
 
+def _bridged(z5, lhs: str, rhs: str, at: str):
+    """z5 with a bridge k : * -> z and a relation e : lhs = rhs at ``at``."""
+    p = apply(z5, T0(at="*", new_cell="z", new_gen="k")).copy()
+    p.rels["e"] = (p.word(lhs, at=at), p.word(rhs, at=at))
+    return p
+
+
+_STATES = {
+    "typed": lambda request: parse(TYPED),
+    "anchored": lambda request: _bridged(request.getfixturevalue("z5"), "k' k", "1", "z"),
+    "used": lambda request: _bridged(request.getfixturevalue("z5"), "k k'", "1", "*"),
+    "self": lambda request: parse("< a | a a = a >"),
+}
+
+
+class TestRefusals:
+    """Every way a step can fail to verify, one row each, with its exact reason."""
+
+    @pytest.mark.parametrize(
+        "state, make, reason",
+        [
+            ("z5", lambda p: T0(at="nope", new_cell="y", new_gen="f"),
+             "unknown 0-cell 'nope'"),
+            ("z5", lambda p: T0(at="*", new_cell="y z", new_gen="f"),
+             "new names must be nonempty and whitespace-free"),
+            ("z5", lambda p: T0(at="*", new_cell="*", new_gen="f"),
+             "0-cell '*' already exists"),
+            ("z5", lambda p: T0(at="*", new_cell="y", new_gen="a"),
+             "generator 'a' already exists"),
+            ("b3", lambda p: T1(word=p.word("b a"), new_gen="", new_rel="x"),
+             "new names must be nonempty and whitespace-free"),
+            ("b3", lambda p: T1(word=p.word("b a"), new_gen="a", new_rel="x"),
+             "generator 'a' already exists"),
+            ("b3", lambda p: T1(word=p.word("b a"), new_gen="c", new_rel="r1"),
+             "relation 'r1' already exists"),
+            ("b3", lambda p: T1(word=load("q8.plg").word("i j"), new_gen="c", new_rel="x"),
+             "defining word is not valid here: unknown generator 'i'"),
+            ("b3", lambda p: T2(witness=Gen("r1", 1), new_rel=" "),
+             "new names must be nonempty and whitespace-free"),
+            ("b3", lambda p: T2(witness=Gen("r1", 1), new_rel="r1"),
+             "relation 'r1' already exists"),
+            ("b3", lambda p: T2(witness=Gen("nope", 1), new_rel="r2"),
+             "witness does not check: unknown relation 'nope'"),
+            ("b3c", lambda p: T2(
+                witness=parse_derivation(WITNESS_AC_CB, p),
+                new_rel="r2",
+                declared=(p.word("a c"), p.word("b c")),
+            ), "boundary mismatch: witness proves a c = c b, declared a c = b c"),
+            ("z5", lambda p: InvT0(cell="nope", gen="a"), "unknown 0-cell 'nope'"),
+            ("z5", lambda p: InvT0(cell="*", gen="zz"), "unknown generator 'zz'"),
+            ("typed", lambda p: InvT0(cell="x", gen="f"), "generator 'f' does not target 'x'"),
+            ("z5", lambda p: InvT0(cell="*", gen="a"), "generator 'a' is a loop at '*'"),
+            ("typed", lambda p: InvT0(cell="y", gen="f"),
+             "0-cell 'y' still touches generator 'g'"),
+            ("anchored", lambda p: InvT0(cell="z", gen="k"), "0-cell 'z' appears in relation 'e'"),
+            ("used", lambda p: InvT0(cell="z", gen="k"), "generator 'k' appears in relation 'e'"),
+            ("b3", lambda p: InvT1(gen="zz", rel="r1"), "unknown generator 'zz'"),
+            ("b3", lambda p: InvT1(gen="a", rel="zz"), "unknown relation 'zz'"),
+            ("b3", lambda p: InvT1(gen="a", rel="r1"), "relation 'r1' is not of shape (word, a)"),
+            ("self", lambda p: InvT1(gen="a", rel="r1"), "defining word mentions 'a' itself"),
+            ("b3full", lambda p: InvT1(gen="c", rel="def_c"),
+             "generator still used: 'c' appears in relation 'r2'"),
+            ("b3", lambda p: InvT2(rel="zz", witness=Gen("r1", 1)), "unknown relation 'zz'"),
+            ("b3", lambda p: InvT2(rel="r1", witness=Gen("r1", 1)),
+             "witness does not check over the other relations: unknown relation 'r1'"),
+            ("b3full", lambda p: InvT2(rel="r1", witness=parse_derivation("(gen r2 +)", p)),
+             "boundary mismatch: witness proves a c = c b, removing a b a = b a b"),
+            ("b3", lambda p: "junk", "not a Tietze step: 'junk'"),
+        ],
+    )
+    def test_verify_gives_the_reason_apply_raises(self, request, state, make, reason):
+        p = _STATES[state](request) if state in _STATES else request.getfixturevalue(state)
+        step = make(p)
+        check = verify(p, step)
+        assert (check.ok, check.reason) == (False, reason)
+        with pytest.raises(TietzeError) as err:
+            apply(p, step)
+        assert str(err.value) == reason
+
+
 class TestInverse:
     def test_every_step_kind_round_trips(self, b3, b3c, b3full, z5):
         cases = [
@@ -294,6 +374,20 @@ class TestTransport:
         word = extended.word("f", at="*")
         with pytest.raises(UnknownGenerator, match="removed by InvT0"):
             transport(extended, [InvT0(cell="y", gen="f")], word)
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (InvT1(gen="a", rel="zz"), "unknown relation 'zz'"),
+            (InvT1(gen="a", rel="r1"), "relation 'r1' does not define 'a'"),
+        ],
+    )
+    def test_a_removal_that_does_not_fit_is_refused_as_inverse_refuses_it(
+        self, b3, step, message
+    ):
+        with pytest.raises(TietzeError) as err:
+            transport(b3, [step], b3.word("a"))
+        assert str(err.value) == message
 
     def test_equality_is_invariant_under_definition_and_removal(self, z5):
         t1 = T1(word=z5.word("a a"), new_gen="t", new_rel="def_t")
@@ -671,3 +765,7 @@ class TestDeepDerivations:
 
 def test_random_rewirings_cancel_exactly():
     assert props.run_tietze_cancellation_suite(seed=61, cases=1000) == 1000
+
+
+def test_verify_accepts_exactly_what_apply_applies():
+    assert props.run_verify_apply_suite(seed=67, cases=300) == 300

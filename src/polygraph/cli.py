@@ -137,8 +137,9 @@ def _cmd_complete(args) -> int:
 
 def _cmd_nf(args) -> int:
     p = _load(args.file)
+    word = p.word(args.word)  # a bad word is a parse error, whatever completion does
     system = _require_converged(p, args)
-    _emit(rewriting.normalize(system, args.word))
+    _emit(rewriting.normalize(system, word))
     return EXIT_OK
 
 
@@ -151,15 +152,16 @@ def _verdict(args, verdict: str, **detail) -> None:
 
 def _cmd_eq(args) -> int:
     p = _load(args.file)
+    left, right = p.word(args.left), p.word(args.right)
     outcome = _complete(p, args)
     if isinstance(outcome, rewriting.Converged):
-        equal = rewriting.word_equal(outcome.system, args.left, args.right)
+        equal = rewriting.word_equal(outcome.system, left, right)
         _verdict(args, "equal" if equal else "unequal", method="normal-forms")
         return EXIT_OK
     _diag(
         f"completion gave up ({outcome.reason}); falling back to breadth-first search"
     )
-    found = oracle.bfs_equal(p, args.left, args.right, args.radius)
+    found = oracle.bfs_equal(p, left, right, args.radius)
     if isinstance(found, oracle.Equal):
         _verdict(args, "equal", method="search", steps=found.steps)
         return EXIT_OK

@@ -346,9 +346,9 @@ def _leaf_boundary(p: Polygraph, d: Derivation) -> Sphere:
         lhs, rhs = p.rels[d.rel]
         return (lhs, rhs) if d.sign > 0 else (rhs, lhs)
     if isinstance(d, Id):
-        # Re-check the word so a corrupt tree cannot smuggle in bad letters.
-        Word.from_letters(d.word.letters, p.gens, at=d.word.src)
-        return (d.word, d.word)
+        # Rebuilt, so a corrupt tree cannot smuggle in bad letters or endpoints.
+        word = d.word.checked(p.gens)
+        return (word, word)
     if isinstance(d, CancelLeft):
         if d.gen not in p.gens:
             raise UnknownCell(f"unknown generator {d.gen!r}")

@@ -21,14 +21,14 @@ Internally a word is a ``bytes`` value, one byte per letter index; the
 public functions speak word text (``a b' a^2``) or Word values.
 
 Queries and complete() run on a rule index, an automaton over the left
-sides (see _Matcher) with numbered states, whose transitions and redexes
-fill one list row per state as they are first needed; adding or retiring
-a rule empties only the slots it can change; complete() hands its index
-on to a converged result.  normalize() reads a letter with one list
-lookup and rewrites the redex that ends first.  In the inter-reduced
-systems complete() builds that is the leftmost redex; a hand-built system
-may differ: ``a b c -> x``, ``b -> y`` take ``a b c`` to ``a y c``, not
-``x``.
+sides (see _Matcher) with numbered states, each with a list row of one
+slot per letter, filled with its transition or redex when first needed;
+adding or retiring a rule empties only the slots it can change;
+complete() hands its index on to a converged result.  normalize() reads
+a letter with one list lookup and rewrites the redex that ends first.
+In the inter-reduced systems complete() builds that is the leftmost
+redex; a hand-built system may differ: ``a b c -> x``, ``b -> y`` take
+``a b c`` to ``a y c``, not ``x``.
 
 The text serialization of a system is one rule per line after an order
 header, and parses back with parse_system()::
@@ -164,12 +164,8 @@ class Alphabet:
         """Letter indices of words.scan_word runs; UnknownGenerator for a
         letter outside the alphabet."""
         out = bytearray()
-        letters: dict[str, bytes] = {}
         for gen, sign, count, _, _ in runs:
-            name = _letter_name(gen, sign)
-            if name not in letters:
-                letters[name] = bytes((self.index(name),))
-            out += letters[name] * count
+            out += bytes((self.index(_letter_name(gen, sign)),)) * count
         return bytes(out)
 
 
@@ -218,7 +214,7 @@ class RewritingSystem:
     @cached_property
     def _matcher(self) -> _Matcher:
         """The compiled rule index every query on this system shares."""
-        return _Matcher(self.rules)
+        return _Matcher(self.rules, len(self.alphabet))
 
     def _action(self, cap: int) -> _RightAction:
         """The right action on the normal forms (see _RightAction), memoized
@@ -355,33 +351,34 @@ class _Matcher:
 
     Queries run on integer states: ``ids`` numbers each state met so far
     (the start state is 0) and ``states`` lists them by number.  ``rows[i]``
-    has one slot per letter for state i: None until step() fills it, then
-    the next state's number, or ``~k`` when the letter completes a redex,
-    where ``actions[k]`` is (letters of the left side before the letter,
-    right side reversed).  A new left side keeps every state and its
-    number, and takes the highest rank, so a redex slot stays as it is;
-    add() empties exactly the slots (s, a) where s + a ends with the new
-    left side or with one of its prefixes that was no state before.  The
-    numbered states that end with a word are one run of ``tails``, their
-    reversed words kept sorted.  retire() empties the same slots and drops
-    the left side's action; a state that is no prefix any more keeps its
-    number and row, but no slot leads to it.  A new right side for a live
-    left side changes only its action (set_rhs).  Each edit also empties
-    ``memo``, which maps words to their normal forms under the live rules.
+    holds one slot per letter of the alphabet (``width`` of them) for state
+    i: None until step() fills it, then the next state's number, or
+    ``~rank`` when the letter completes a redex whose left side has that
+    rank.  ``actions[rank]`` is (letters of the left side before the
+    letter, right side reversed), or None once the rule is retired.  A new
+    left side keeps every state and its number, and takes the highest
+    rank, so a redex slot stays as it is; add() empties exactly the slots
+    (s, a) where s + a ends with the new left side or with one of its
+    prefixes that was no state before.  The numbered states that end with a
+    word are one run of ``tails``, their reversed words kept sorted.
+    retire() empties the same slots and drops the rule's action; a state
+    that is no prefix any more keeps its number and row, but no slot leads
+    to it.  A new right side for a live left side changes only its action
+    (set_rhs).  Each edit also empties ``memo``, which maps words to their
+    normal forms under the live rules.
     """
 
-    def __init__(self, rules):
+    def __init__(self, rules, width: int):
+        self.width = width
         self.rules: dict[bytes, bytes] = {}
         self.rank: dict[bytes, int] = {}
         self.prefixes: dict[bytes, list[bytes]] = {}
         self.suffixes: dict[bytes, list[bytes]] = {}
-        self.added = 0
         self.ids: dict[bytes, int] = {b"": 0}
         self.states: list[bytes] = [b""]
         self.tails: list[tuple[bytes, int]] = [(b"", 0)]  # (state reversed, number), sorted
-        self.rows: list[list[int | None]] = [[]]
-        self.actions: list[tuple[int, bytes]] = []
-        self.action_of: dict[bytes, int] = {}  # left side -> ~k
+        self.rows: list[list[int | None]] = [[None] * width]
+        self.actions: list[tuple[int, bytes] | None] = []  # by rank; None once retired
         self.memo: dict[bytes, bytes] = {}
         for rule in rules:  # rule order is the rule index order
             if rule.lhs not in self.rules:
@@ -390,18 +387,18 @@ class _Matcher:
     def add(self, lhs: bytes, rhs: bytes) -> None:
         self._reset(lhs)
         self.rules[lhs] = rhs
-        self.rank[lhs] = self.added
-        self.added += 1
+        self.rank[lhs] = len(self.actions)
+        self.actions.append((len(lhs) - 1, rhs[::-1]))
         for table, part in self._parts(lhs):
             table.setdefault(part, []).append(lhs)
 
     def retire(self, lhs: bytes) -> None:
-        del self.rules[lhs], self.rank[lhs]
+        del self.rules[lhs]
+        self.actions[self.rank.pop(lhs)] = None
         for table, part in self._parts(lhs):
             table[part].remove(lhs)
             if not table[part]:
                 del table[part]
-        self.action_of.pop(lhs, None)
         self._reset(lhs)
 
     def _reset(self, lhs: bytes) -> None:
@@ -417,17 +414,14 @@ class _Matcher:
             tail = backwards[len(lhs) - k:]  # lhs[:k] reversed; its states: one run of tails
             i = bisect_left(tails, (tail,))
             while i < len(tails) and tails[i][0].startswith(tail):
-                row = self.rows[tails[i][1]]
-                if lhs[k] < len(row):
-                    row[lhs[k]] = None
+                self.rows[tails[i][1]][lhs[k]] = None
                 i += 1
 
     def set_rhs(self, lhs: bytes, rhs: bytes) -> None:
         """Give the live left side ``lhs`` the right side ``rhs``."""
         self.memo.clear()
         self.rules[lhs] = rhs
-        if lhs in self.action_of:
-            self.actions[~self.action_of[lhs]] = (len(lhs) - 1, rhs[::-1])
+        self.actions[self.rank[lhs]] = (len(lhs) - 1, rhs[::-1])
 
     def _parts(self, lhs: bytes):
         """Where ``lhs`` is listed: under each nonempty prefix and each proper
@@ -447,30 +441,22 @@ class _Matcher:
         ends = [word[k:] for k in range(len(word)) if word[k:] in self.rank]
         lhs = min(ends, key=self.rank.__getitem__, default=None)
         row = self.rows[self._number(state)]
-        if letter >= len(row):
-            row.extend([None] * (letter + 1 - len(row)))
-        if lhs is None:
-            row[letter] = self._number(word)
-        else:
-            if lhs not in self.action_of:
-                self.action_of[lhs] = ~len(self.actions)
-                self.actions.append((len(lhs) - 1, self.rules[lhs][::-1]))
-            row[letter] = self.action_of[lhs]
+        row[letter] = self._number(word) if lhs is None else ~self.rank[lhs]
         return word, lhs
 
     def _number(self, state: bytes) -> int:
-        """The number of ``state``, with an empty row if it is new."""
+        """The number of ``state``, with a row of empty slots if it is new."""
         if state not in self.ids:
             self.ids[state] = len(self.states)
             insort(self.tails, (state[::-1], len(self.states)))
             self.states.append(state)
-            self.rows.append([])
+            self.rows.append([None] * self.width)
         return self.ids[state]
 
     def move(self, state: int, letter: int) -> int:
         """The slot of ``letter`` in the row of state number ``state``."""
         row = self.rows[state]
-        if letter >= len(row) or row[letter] is None:
+        if row[letter] is None:
             self.step(self.states[state], letter)
         return row[letter]
 
@@ -499,10 +485,7 @@ class _Matcher:
         the start state exactly when a live left side occurs in ``word``."""
         rows = self.rows
         for letter in word:
-            try:
-                move = rows[state][letter]
-            except IndexError:
-                move = None
+            move = rows[state][letter]
             if move is None:
                 move = self.move(state, letter)
             if move < 0:
@@ -526,10 +509,7 @@ class _Matcher:
         steps = 0
         while todo:
             letter = todo.pop()
-            try:
-                move = row[letter]
-            except IndexError:
-                move = None
+            move = row[letter]
             if move is None:
                 move = self.move(path[-1], letter)
             if move >= 0:
@@ -675,7 +655,7 @@ def complete(
     each normalization, and either step limit returns ``GaveUp("max_steps")``.
     A completed system that fails re-verification raises InternalError.
     """
-    index = _Matcher(())
+    index = _Matcher((), len(system.alphabet))
     rules = index.rules  # in rule order, edited in place
     serial = 0
     queue: list[tuple[int, bytes, int, bytes, bytes]] = []

@@ -215,15 +215,15 @@ def apply(p: Polygraph, step: TietzeStep) -> Polygraph:
     elif isinstance(step, T1):
         _fresh((step.new_gen, p.gens, "generator"), (step.new_rel, p.rels, "relation"))
         try:
-            Word.from_letters(step.word.letters, p.gens, at=step.word.src)
+            word = step.word.checked(p.gens)
         except Exception as exc:
             raise TietzeError(f"defining word is not valid here: {exc}") from exc
-        out.gens[step.new_gen] = (step.word.src, step.word.tgt)
-        gen_word = Word((Letter(step.new_gen, 1),), step.word.src, step.word.tgt)
+        out.gens[step.new_gen] = (word.src, word.tgt)
+        gen_word = Word((Letter(step.new_gen, 1),), word.src, word.tgt)
         if step.gen_on_left:
-            out.rels[step.new_rel] = (gen_word, step.word)
+            out.rels[step.new_rel] = (gen_word, word)
         else:
-            out.rels[step.new_rel] = (step.word, gen_word)
+            out.rels[step.new_rel] = (word, gen_word)
     elif isinstance(step, T2):
         _fresh((step.new_rel, p.rels, "relation"))
         try:

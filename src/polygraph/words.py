@@ -112,6 +112,16 @@ class Word:
             cursor = ltgt
         return Word(letters, first_src, cursor)
 
+    def checked(self, gens: GenMap) -> "Word":
+        """This word rebuilt from its letters over ``gens``; EndpointMismatch
+        when its stated endpoints are not the ones its letters run between."""
+        word = Word.from_letters(self.letters, gens, at=self.src)
+        if (word.src, word.tgt) != (self.src, self.tgt):
+            raise EndpointMismatch(
+                f"{word} runs from {word.src!r} to {word.tgt!r}, not {self.src!r} to {self.tgt!r}"
+            )
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -544,7 +544,7 @@ def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
     ran = 0
     for _ in range(cases):
         letters = rng.randint(2, 4)
-        index = _Matcher(())
+        index = _Matcher((), letters)
         for _ in range(rng.randint(1, 30)):
             for _ in range(rng.randint(1, 3)):
                 roll = rng.random()
@@ -566,7 +566,7 @@ def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
             for _ in range(3):
                 word = bytes(rng.randrange(letters) for _ in range(rng.randint(0, 12)))
                 index.normalize(word, 10**6)
-        fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()])
+        fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()], letters)
         assert list(index.rules.items()) == list(fresh.rules.items())
         for _ in range(20):
             word = bytes(rng.randrange(letters) for _ in range(rng.randint(0, 12)))
@@ -589,18 +589,21 @@ def run_index_edit_suite(seed: int = 0, cases: int = 200) -> int:
 def _check_memo(index: _Matcher) -> None:
     """Every word in the memo of ``index`` maps to the normal form a fresh
     _Matcher with the same rules gives it."""
-    fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()])
+    fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()], index.width)
     for word, normal in index.memo.items():
         assert fresh.normalize(word, 10**6) == normal, (word, normal)
 
 
 def _check_slots(index: _Matcher) -> None:
-    """Every filled slot of every numbered state of ``index`` equals what a
-    fresh _Matcher with the same rules computes for that state's word and
-    letter: the same next state's word, or for a redex the same cut and
-    right side."""
-    fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()])
+    """Every row of ``index`` has one slot per letter of its alphabet, and
+    every filled slot of every numbered state equals what a fresh _Matcher
+    with the same rules computes for that state's word and letter: the same
+    next state's word, or for a redex ``~r`` the live rule of rank r, with
+    the same cut and right side."""
+    fresh = _Matcher([Rule(lhs, rhs) for lhs, rhs in index.rules.items()], index.width)
+    ranked = {rank: lhs for lhs, rank in index.rank.items()}
     for number, row in enumerate(index.rows):
+        assert len(row) == index.width, number
         for letter, slot in enumerate(row):
             if slot is None:
                 continue
@@ -608,7 +611,7 @@ def _check_slots(index: _Matcher) -> None:
             if slot >= 0:
                 assert lhs is None and index.states[slot] == word, (number, letter)
             else:
-                assert lhs is not None, (number, letter)
+                assert lhs is not None and ranked.get(~slot) == lhs, (number, letter)
                 assert index.actions[~slot] == (len(lhs) - 1, fresh.rules[lhs][::-1])
 
 

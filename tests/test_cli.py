@@ -205,6 +205,22 @@ class TestEq:
             assert "bad word term \"a'^2\"" in err
 
 
+class TestWordArguments:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # b3 gives up after 4,097 rules: the word is read before that.
+            (["nf", B3, "z"], "line 1, column 1: unknown generator 'z'"),
+            (["eq", D5, "r z", "1"], "line 1, column 3: unknown generator 'z'"),
+            (["eq", B3, "a", "z"], "line 1, column 1: unknown generator 'z'"),
+            (["nf", D5, "r s^"], "line 1, column 3: bad word term 's^'"),
+        ],
+        ids=["nf-gave-up", "eq-converged", "eq-searched", "nf-bad-term"],
+    )
+    def test_a_bad_word_is_a_parse_error_before_completion(self, capsys, argv, message):
+        assert run(capsys, argv) == (1, "", message + "\n")
+
+
 class TestEnumerate:
     def test_lists_shortlex_normal_forms(self, capsys):
         code, out, err = run(capsys, ["enumerate", Z5])

@@ -9,7 +9,7 @@ import pytest
 
 import props
 from conftest import load
-from polygraph.errors import IllTyped, UnknownCell
+from polygraph.errors import EndpointMismatch, IllTyped, UnknownCell
 from polygraph.model import (
     CancelLeft,
     CancelRight,
@@ -90,6 +90,17 @@ class TestBoundary:
         w = b3.word("a b a")
         assert boundary(b3, Id(w)) == (w, w)
         assert boundary(b3, Inv(Gen("r1", 1))) == boundary(b3, Gen("r1", -1))
+
+    def test_an_identity_runs_only_between_the_endpoints_of_its_letters(self, typed):
+        # f runs from x to y, so a word of f stated as a loop at y bounds no
+        # identity, alone or composed with g into a false f g from y to x.
+        bad = Word((Letter("f", 1),), "y", "y")
+        with pytest.raises(EndpointMismatch, match="f runs from 'x' to 'y', not 'y' to 'y'"):
+            boundary(typed, Id(bad))
+        with pytest.raises(EndpointMismatch):
+            boundary(typed, Horiz(Id(bad), Id(typed.word("g"))))
+        good = Word((Letter("f", 1),), "x", "y")
+        assert boundary(typed, Id(good)) == (good, good)
 
     def test_cancellation_units(self, typed):
         lam = boundary(typed, CancelLeft("f"))

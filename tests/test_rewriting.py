@@ -252,9 +252,9 @@ class TestComplete:
         builds = []
 
         class CountingMatcher(rewriting._Matcher):
-            def __init__(self, rules):
+            def __init__(self, rules, width):
                 builds.append(tuple(rules))
-                super().__init__(rules)
+                super().__init__(rules, width)
 
         monkeypatch.setattr(rewriting, "_Matcher", CountingMatcher)
         out = complete(encode(load("b3.plg")), max_rules=128)
@@ -856,13 +856,13 @@ class TestAutomaton:
         assert len(steps) < most
 
     def test_a_new_right_side_is_read_at_once(self):
-        index = rewriting._Matcher([Rule(b"\x02\x02", b"\x00"), Rule(b"\x01\x01", b"")])
+        index = rewriting._Matcher([Rule(b"\x02\x02", b"\x00"), Rule(b"\x01\x01", b"")], 3)
         assert index.normalize(b"\x01\x02\x02\x01", 10) == b"\x01\x00\x01"
         index.set_rhs(b"\x02\x02", b"\x01")
         assert index.normalize(b"\x01\x02\x02\x01", 10) == b"\x01"
 
     def test_a_row_grows_to_any_byte_letter(self):
-        index = rewriting._Matcher([Rule(b"\xff\xff", b"\x07")])
+        index = rewriting._Matcher([Rule(b"\xff\xff", b"\x07")], 256)
         assert index.normalize(b"\x00\xff\x01\xff\xff", 10) == b"\x00\xff\x01\x07"
         assert len(index.rows[0]) == 256
 
@@ -953,9 +953,9 @@ class TestFrozenSystems:
         builds = []
 
         class CountingMatcher(rewriting._Matcher):
-            def __init__(self, rules):
+            def __init__(self, rules, width):
                 builds.append(len(rules))
-                super().__init__(rules)
+                super().__init__(rules, width)
 
         monkeypatch.setattr(rewriting, "_Matcher", CountingMatcher)
         system = certify(parse_system(format_system(d5_system)))

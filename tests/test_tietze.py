@@ -115,6 +115,17 @@ class TestT1:
         check = verify(b3, T1(word=foreign, new_gen="c", new_rel="x"))
         assert "defining word is not valid here" in check.reason
 
+    def test_rejects_a_word_whose_letters_do_not_run_between_its_endpoints(self):
+        # f runs from x to y; stated as a loop at y, it would give the new
+        # generator and its relation endpoints that validate() refuses.
+        p = parse(TYPED)
+        bad = Word((Letter("f", 1),), "y", "y")
+        with pytest.raises(TietzeError) as err:
+            apply(p, T1(word=bad, new_gen="c", new_rel="d"))
+        assert str(err.value) == (
+            "defining word is not valid here: f runs from 'x' to 'y', not 'y' to 'y'"
+        )
+
 
 class TestT2:
     def test_adjoins_the_derived_relation(self, b3c, b3full):
@@ -144,6 +155,19 @@ class TestT2:
         # The one call that checks the witness also derives the relation.
         assert calls == [witness]
         assert after.rels["r2"] == boundary(b3c, witness)
+
+    def test_rejects_a_witness_over_a_word_that_misstates_its_endpoints(self):
+        # With f stated as a loop at y, the witness would prove f g = f g as
+        # a relation from y to x.
+        p = parse(TYPED)
+        bad = Word((Letter("f", 1),), "y", "y")
+        witness = Horiz(Id(bad), Id(p.word("g")))
+        check = verify(p, T2(witness=witness, new_rel="bogus"))
+        assert check.reason == (
+            "witness does not check: f runs from 'x' to 'y', not 'y' to 'y'"
+        )
+        with pytest.raises(TietzeError):
+            apply(p, T2(witness=witness, new_rel="bogus"))
 
     def test_broken_witnesses_are_reported(self, b3):
         check = verify(b3, T2(witness=Gen("nope", 1), new_rel="r2"))

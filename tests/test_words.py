@@ -50,6 +50,13 @@ class TestWordConstruction:
         with pytest.raises(EndpointMismatch):
             Word.from_letters([], TYPED)
 
+    def test_checked_keeps_only_the_endpoints_the_letters_run_between(self):
+        f = Word.from_letters([Letter("f", 1)], TYPED)
+        assert f.checked(TYPED) == f
+        for bad in (Word(f.letters, "y", "y"), Word(f.letters, "x", "z"), Word((), "x", "y")):
+            with pytest.raises(EndpointMismatch):
+                bad.checked(TYPED)
+
     def test_zigzag_through_inverses(self):
         # f g g' f' is a loop at x
         letters = [Letter("f", 1), Letter("g", 1), Letter("g", -1), Letter("f", -1)]

@@ -301,27 +301,25 @@ def export(obj: CayleyGraph | CayleyComplex, format: str) -> bytes:
     raise ValueError(f"unknown export format {format!r}")
 
 
+def _is_index(value, size: int) -> bool:
+    return type(value) is int and 0 <= value < size  # a bool numbers nothing
+
+
+def _by_id(rows: list, what: str) -> list:
+    """The rows sorted by id; ValueError unless the ids are 0..n-1, each once."""
+    if len({row["id"] for row in rows if _is_index(row["id"], len(rows))}) < len(rows):
+        raise ValueError(f"{what} ids are not 0..n-1")
+    return sorted(rows, key=lambda row: row["id"])
+
+
 def _graph_from_data(data: dict) -> CayleyGraph:
-    vertices: list[str | None] = [None] * len(data["vertices"])
-    for row in data["vertices"]:
-        i = row["id"]
-        if not (0 <= i < len(vertices)) or vertices[i] is not None:
-            raise ValueError("vertex ids are not 0..n-1")
-        vertices[i] = row["word"]
-    if any(w is None for w in vertices):
-        raise ValueError("vertex ids are not 0..n-1")
-    edges: list[Edge | None] = [None] * len(data["edges"])
-    gens: list[str] = []
-    for row in data["edges"]:
-        i = row["id"]
-        if not (0 <= i < len(edges)) or edges[i] is not None:
-            raise ValueError("edge ids are not 0..n-1")
-        edges[i] = Edge(src=row["src"], dst=row["dst"], gen=row["gen"])
-        if row["gen"] not in gens:
-            gens.append(row["gen"])
-    if any(e is None for e in edges):
-        raise ValueError("edge ids are not 0..n-1")
-    return CayleyGraph(vertices=tuple(vertices), edges=tuple(edges), gens=tuple(gens))
+    vertices = tuple(row["word"] for row in _by_id(data["vertices"], "vertex"))
+    edges = tuple(Edge(row["src"], row["dst"], row["gen"]) for row in _by_id(data["edges"], "edge"))
+    if not all(isinstance(text, str) for text in vertices + tuple(e.gen for e in edges)):
+        raise ValueError("vertex words and edge labels must be strings")
+    if not all(_is_index(e.src, len(vertices)) and _is_index(e.dst, len(vertices)) for e in edges):
+        raise ValueError("an edge end is not a vertex number")
+    return CayleyGraph(vertices, edges, gens=tuple(dict.fromkeys(e.gen for e in edges)))
 
 
 def graph_from_json(blob: bytes | str) -> CayleyGraph:
@@ -337,4 +335,9 @@ def complex_from_json(blob: bytes | str) -> CayleyComplex:
         Face(base=row["base"], rel=row["rel"], boundary=tuple(row["boundary"]))
         for row in data.get("faces", [])
     )
+    for face in faces:
+        if not _is_index(face.base, len(graph.vertices)):
+            raise ValueError("a face base is not a vertex number")
+        if not all(type(k) is int and 0 < abs(k) <= len(graph.edges) for k in face.boundary):
+            raise ValueError("a face boundary entry is not a signed edge number")
     return CayleyComplex(graph=graph, faces=faces)

@@ -67,39 +67,21 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _completion_flags(sub: argparse.ArgumentParser, *, max_rules: int) -> None:
-    sub.add_argument(
-        "--precedence",
-        help="comma-separated generator order for the encoding (default: declaration order)",
-    )
-    sub.add_argument(
-        "--no-inverses",
-        action="store_true",
-        help="encode the positive monoid: no inverse letters, no cancellation rules",
-    )
-    sub.add_argument("--max-rules", type=_count, default=max_rules)
-    sub.add_argument("--max-len", type=_count, default=rewriting.DEFAULT_MAX_LHS_LEN)
-    sub.add_argument("--max-steps", type=_count, default=rewriting.DEFAULT_MAX_STEPS)
-
-
 def _encode(p: Polygraph, args) -> rewriting.RewritingSystem:
-    precedence = None
-    if args.precedence:
-        precedence = [g.strip() for g in args.precedence.split(",") if g.strip()]
-    return rewriting.encode(p, precedence, inverses=not args.no_inverses)
+    return rewriting.encode(p, args.precedence, inverses=not args.no_inverses)
 
 
-def _complete(p: Polygraph, args):
+def _complete(system: rewriting.RewritingSystem, args):
     return rewriting.complete(
-        _encode(p, args),
+        system,
         max_rules=args.max_rules,
         max_lhs_len=args.max_len,
         max_steps=args.max_steps,
     )
 
 
-def _require_converged(p: Polygraph, args) -> rewriting.RewritingSystem:
-    outcome = _complete(p, args)
+def _require_converged(system: rewriting.RewritingSystem, args) -> rewriting.RewritingSystem:
+    outcome = _complete(system, args)
     if isinstance(outcome, rewriting.GaveUp):
         raise NotConvergent(
             f"completion gave up ({outcome.reason}) at {len(outcome.system.rules)} rules;"
@@ -111,15 +93,13 @@ def _require_converged(p: Polygraph, args) -> rewriting.RewritingSystem:
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_parse(args) -> int:
-    p = _load(args.file)
+def _cmd_parse(p: Polygraph, args) -> int:
     _emit(presentations.render(p))
     return EXIT_OK
 
 
-def _cmd_complete(args) -> int:
-    p = _load(args.file)
-    outcome = _complete(p, args)
+def _cmd_complete(p: Polygraph, args) -> int:
+    outcome = _complete(_encode(p, args), args)
     if isinstance(outcome, rewriting.GaveUp):
         _emit(f"gave-up reason={outcome.reason} rules={len(outcome.system.rules)}")
         return EXIT_UNDECIDED
@@ -135,11 +115,11 @@ def _cmd_complete(args) -> int:
     return EXIT_OK
 
 
-def _cmd_nf(args) -> int:
-    p = _load(args.file)
-    word = p.word(args.word)  # a bad word is a parse error, whatever completion does
-    system = _require_converged(p, args)
-    _emit(rewriting.normalize(system, word))
+def _cmd_nf(p: Polygraph, args) -> int:
+    p.word(args.word)  # a bad word is a parse error, whatever completion does
+    system = _encode(p, args)
+    word = system.word_bytes(args.word)  # and so is a letter the encoding lacks
+    _emit(rewriting.normalize(_require_converged(system, args), word))
     return EXIT_OK
 
 
@@ -150,17 +130,25 @@ def _verdict(args, verdict: str, **detail) -> None:
         _emit(verdict)
 
 
-def _cmd_eq(args) -> int:
-    p = _load(args.file)
+def _cmd_eq(p: Polygraph, args) -> int:
     left, right = p.word(args.left), p.word(args.right)
-    outcome = _complete(p, args)
+    system = _encode(p, args)
+    u, v = system.word_bytes(args.left), system.word_bytes(args.right)
+    outcome = _complete(system, args)
     if isinstance(outcome, rewriting.Converged):
-        equal = rewriting.word_equal(outcome.system, left, right)
+        equal = rewriting.word_equal(outcome.system, u, v)
         _verdict(args, "equal" if equal else "unequal", method="normal-forms")
         return EXIT_OK
-    _diag(
-        f"completion gave up ({outcome.reason}); falling back to breadth-first search"
-    )
+    fallback = ("the partial rules: the search decides the group, not the monoid"
+                if args.no_inverses else "breadth-first search")
+    _diag(f"completion gave up ({outcome.reason}); falling back to {fallback}")
+    if args.no_inverses:
+        # Completion adds only consequences of the relations, so equal normal
+        # forms under the partial rules prove the words equal in the monoid.
+        normal_form = functools.partial(rewriting.normalize_bytes, outcome.system)
+        equal = normal_form(u) == normal_form(v)
+        _verdict(args, "equal" if equal else "undecided", method="partial-rules")
+        return EXIT_OK if equal else EXIT_UNDECIDED
     found = oracle.bfs_equal(p, left, right, args.radius)
     if isinstance(found, oracle.Equal):
         _verdict(args, "equal", method="search", steps=found.steps)
@@ -171,9 +159,8 @@ def _cmd_eq(args) -> int:
     return EXIT_UNDECIDED
 
 
-def _cmd_enumerate(args) -> int:
-    p = _load(args.file)
-    system = _require_converged(p, args)
+def _cmd_enumerate(p: Polygraph, args) -> int:
+    system = _require_converged(_encode(p, args), args)
     outcome = rewriting.enumerate_normal_forms(system, cap=args.cap)
     if isinstance(outcome, rewriting.MoreThanCap):
         raise InfiniteOrUnknown(f"more than {args.cap} normal forms; the group may be infinite")
@@ -187,7 +174,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _order_of(p: Polygraph, args) -> int | None:
-    outcome = _complete(p, args)
+    outcome = _complete(rewriting.encode(p), args)
     if isinstance(outcome, rewriting.GaveUp):
         return None
     counted = rewriting.enumerate_normal_forms(outcome.system, cap=args.cap)
@@ -196,8 +183,7 @@ def _order_of(p: Polygraph, args) -> int | None:
     return len(counted.words)
 
 
-def _cmd_tietze(args) -> int:
-    p = _load(args.file)
+def _cmd_tietze(p: Polygraph, args) -> int:
     steps, after = tietze._elaborate(_read(args.script), p)
     if args.json:
         for i, step in enumerate(steps, start=1):
@@ -221,17 +207,15 @@ def _cmd_tietze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cayley_graph(args) -> int:
-    p = _load(args.file)
-    system = _require_converged(p, args)
+def _cmd_cayley_graph(p: Polygraph, args) -> int:
+    system = _require_converged(_encode(p, args), args)
     graph = cayley.build_graph(p, system, cap=args.cap)
     sys.stdout.buffer.write(cayley.export(graph, args.format))
     return EXIT_OK
 
 
-def _cmd_cayley_complex(args) -> int:
-    p = _load(args.file)
-    system = _require_converged(p, args)
+def _cmd_cayley_complex(p: Polygraph, args) -> int:
+    system = _require_converged(_encode(p, args), args)
     complex_ = cayley.build_complex(p, system, cap=args.cap)
     data = cayley.to_jsonable(complex_)
     if args.homology:
@@ -249,77 +233,80 @@ def _cmd_cayley_complex(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+def _limits(max_rules: int = rewriting.DEFAULT_MAX_RULES) -> argparse.ArgumentParser:
+    # Parents share their action objects, so a default set on one command
+    # would reach every command: each command gets a limits group of its own.
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument("--max-rules", type=_count, default=max_rules)
+    limits.add_argument("--max-len", type=_count, default=rewriting.DEFAULT_MAX_LHS_LEN)
+    limits.add_argument("--max-steps", type=_count, default=rewriting.DEFAULT_MAX_STEPS)
+    return limits
+
+
 @functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polygraph",
         description="group presentations: rewriting, Tietze moves, Cayley exports",
     )
+    encoding, cap, json_ = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    encoding.add_argument(
+        "--precedence",
+        type=lambda text: [g.strip() for g in text.split(",") if g.strip()] if text else None,
+        help="comma-separated generator order for the encoding (default: declaration order)",
+    )
+    encoding.add_argument(
+        "--no-inverses",
+        action="store_true",
+        help="encode the positive monoid: no inverse letters, no cancellation rules",
+    )
+    cap.add_argument("--cap", type=_count, default=10000)
+    json_.add_argument("--json", action="store_true")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("parse", help="validate a presentation, echo it back")
-    sub.add_argument("file")
-    sub.set_defaults(handler=_cmd_parse)
+    def command(under, name: str, help: str, handler, groups=(), *positionals: str):
+        sub = under.add_parser(name, help=help, parents=groups)
+        for positional in ("file", *positionals):
+            sub.add_argument(positional)
+        sub.set_defaults(handler=handler)
+        return sub
 
-    sub = commands.add_parser("complete", help="run Knuth-Bendix completion")
-    sub.add_argument("file")
-    _completion_flags(sub, max_rules=rewriting.DEFAULT_MAX_RULES)
+    command(commands, "parse", "validate a presentation, echo it back", _cmd_parse)
+
+    sub = command(commands, "complete", "run Knuth-Bendix completion", _cmd_complete,
+                  [encoding, _limits()])
     sub.add_argument("-o", "--output", help="write the system here instead of stdout")
-    sub.set_defaults(handler=_cmd_complete)
 
-    sub = commands.add_parser("nf", help="normal form of a word")
-    sub.add_argument("file")
-    sub.add_argument("word")
-    _completion_flags(sub, max_rules=rewriting.DEFAULT_MAX_RULES)
-    sub.set_defaults(handler=_cmd_nf)
+    command(commands, "nf", "normal form of a word", _cmd_nf, [encoding, _limits()], "word")
 
-    sub = commands.add_parser("eq", help="decide whether two words are equal")
-    sub.add_argument("file")
-    sub.add_argument("left")
-    sub.add_argument("right")
     # The completion attempt is opportunistic, so its default budget is small
     # enough to fail fast on divergent presentations.
-    _completion_flags(sub, max_rules=512)
+    sub = command(commands, "eq", "decide whether two words are equal", _cmd_eq,
+                  [encoding, _limits(512), json_], "left", "right")
     sub.add_argument("--radius", type=_count, default=4,
                      help="search radius for the fallback (default 4)")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_eq)
 
-    sub = commands.add_parser("enumerate", help="list all elements if finite")
-    sub.add_argument("file")
-    _completion_flags(sub, max_rules=rewriting.DEFAULT_MAX_RULES)
-    sub.add_argument("--cap", type=_count, default=10000)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_enumerate)
+    command(commands, "enumerate", "list all elements if finite", _cmd_enumerate,
+            [encoding, _limits(), cap, json_])
 
-    sub = commands.add_parser("tietze", help="verify and apply a .tz script")
-    sub.add_argument("file")
-    sub.add_argument("script")
+    # The order check compares group orders, so it encodes both sides itself.
+    sub = command(commands, "tietze", "verify and apply a .tz script", _cmd_tietze,
+                  [_limits(), cap, json_], "script")
     sub.add_argument("--check-order", action="store_true",
                      help="re-enumerate the group order before and after")
-    _completion_flags(sub, max_rules=rewriting.DEFAULT_MAX_RULES)
-    sub.add_argument("--cap", type=_count, default=10000)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_tietze)
 
     sub = commands.add_parser("cayley", help="Cayley graph and complex exports")
     kinds = sub.add_subparsers(dest="kind", required=True)
 
-    g = kinds.add_parser("graph", help="export the Cayley graph")
-    g.add_argument("file")
-    g.add_argument("--format", choices=("dot", "json"), required=True)
-    g.add_argument("--cap", type=_count, default=10000)
-    _completion_flags(g, max_rules=rewriting.DEFAULT_MAX_RULES)
-    g.set_defaults(handler=_cmd_cayley_graph)
+    sub = command(kinds, "graph", "export the Cayley graph", _cmd_cayley_graph,
+                  [encoding, _limits(), cap])
+    sub.add_argument("--format", choices=("dot", "json"), required=True)
 
-    c = kinds.add_parser("complex", help="export the Cayley complex")
-    c.add_argument("file")
-    c.add_argument("--format", choices=("json",), required=True)
-    c.add_argument("--homology", action="store_true",
-                   help="embed the homology summary in the export")
-    c.add_argument("--cap", type=_count, default=10000)
-    _completion_flags(c, max_rules=rewriting.DEFAULT_MAX_RULES)
-    c.set_defaults(handler=_cmd_cayley_complex)
+    sub = command(kinds, "complex", "export the Cayley complex", _cmd_cayley_complex,
+                  [encoding, _limits(), cap])
+    sub.add_argument("--format", choices=("json",), required=True)
+    sub.add_argument("--homology", action="store_true",
+                     help="embed the homology summary in the export")
 
     return parser
 
@@ -328,7 +315,7 @@ def main(argv=None) -> int:
     try:
         try:
             args = _build_parser().parse_args(argv)
-            code = args.handler(args)
+            code = args.handler(_load(args.file), args)
         except SystemExit as exc:
             # argparse prints its own message; --help exits 0, usage errors exit 1.
             code = EXIT_OK if exc.code in (0, None) else EXIT_USAGE

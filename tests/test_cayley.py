@@ -453,3 +453,46 @@ class TestExports:
                     }
                 )
             )
+
+    @pytest.mark.parametrize(
+        "section, k, field, value, message",
+        [
+            # -1 would be the last vertex, True vertex 1, and 7 and "x" would
+            # fail later as a bare IndexError or TypeError.
+            ("edges", 0, "dst", -1, "an edge end is not a vertex number"),
+            ("edges", 0, "dst", 7, "an edge end is not a vertex number"),
+            ("edges", 0, "dst", "x", "an edge end is not a vertex number"),
+            ("edges", 0, "dst", True, "an edge end is not a vertex number"),
+            ("edges", 2, "src", 5, "an edge end is not a vertex number"),
+            ("faces", 0, "base", 5, "a face base is not a vertex number"),
+            # Entry 0 would read as the last edge backwards, so [0, 5] would
+            # pass as a cycle.
+            ("faces", 0, "boundary", [0, 5], "a face boundary entry is not a signed edge"),
+            ("faces", 0, "boundary", [6, -6], "a face boundary entry is not a signed edge"),
+            ("faces", 0, "boundary", [True, -1], "a face boundary entry is not a signed edge"),
+            # A null word once read as an unfilled id slot.
+            ("vertices", 3, "word", None, "vertex words and edge labels must be strings"),
+            ("vertices", 3, "id", 3.0, "vertex ids are not 0..n-1"),
+            ("edges", 1, "id", 0, "edge ids are not 0..n-1"),
+        ],
+        ids=[
+            "dst-negative", "dst-past-the-end", "dst-text", "dst-bool", "src-past-the-end",
+            "base-past-the-end", "boundary-zero", "boundary-past-the-end", "boundary-bool",
+            "word-null", "vertex-id-float", "edge-id-duplicate",
+        ],
+    )
+    def test_json_numbers_that_name_no_cell_are_rejected(
+        self, z5, z5_system, section, k, field, value, message
+    ):
+        data = to_jsonable(build_complex(z5, z5_system))  # 5 vertices, 5 edges
+        assert complex_from_json(dump_json(data)) == build_complex(z5, z5_system)
+        data[section][k][field] = value
+        with pytest.raises(ValueError, match=message):
+            complex_from_json(dump_json(data))
+
+    def test_json_rows_are_read_in_id_order(self, d5, d5_system):
+        g = build_graph(d5, d5_system)
+        data = to_jsonable(g)
+        data["vertices"].reverse()
+        data["edges"].reverse()
+        assert graph_from_json(dump_json(data)) == g

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import DATA
-from polygraph import cli, errors, rewriting
+from polygraph import cli, errors, model, presentations, rewriting, tietze
 
 Z5 = str(DATA / "z5.plg")
 D5 = str(DATA / "d5.plg")
@@ -197,6 +197,31 @@ class TestEq:
         assert "max_search_letters" in err
         assert time.perf_counter() - start < 60
 
+    @pytest.mark.parametrize(
+        "left, right, verdict, code",
+        [("a", "b", "undecided", 2), ("a c", "b c", "undecided", 2), ("c a", "c b", "equal", 0)],
+    )
+    def test_a_monoid_give_up_compares_partial_normal_forms(
+        self, capsys, tmp_path, left, right, verdict, code
+    ):
+        # a = b holds in the group (cancel c from c a = c b) but not in the
+        # monoid, where no relation side is one letter long; the monoid
+        # completion gives up at max_lhs_len, so the search must not answer.
+        path = tmp_path / "cancel.plg"
+        path.write_text("< a, b, c | a b a = b a b, c a = c b >\n")
+        got = run(capsys, ["eq", str(path), left, right, "--no-inverses", "--json"])
+        assert got[:2] == (code, json.dumps({"method": "partial-rules", "verdict": verdict},
+                                            separators=(",", ":")) + "\n")
+        assert got[2] == (
+            "completion gave up (max_lhs_len); falling back to the partial rules:"
+            " the search decides the group, not the monoid\n"
+        )
+
+    def test_a_monoid_give_up_still_proves_equal_words_equal(self, capsys):
+        code, out, err = run(capsys, ["eq", B3, "1", "1", "--no-inverses"])
+        assert (code, out) == (0, "equal\n")
+        assert "partial rules" in err
+
     def test_both_methods_read_the_same_word_grammar(self, capsys):
         # z5 converges, so eq uses normal forms; b3 falls back to search.
         for path in (Z5, B3):
@@ -219,6 +244,22 @@ class TestWordArguments:
     )
     def test_a_bad_word_is_a_parse_error_before_completion(self, capsys, argv, message):
         assert run(capsys, argv) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, letter",
+        [
+            # The b3 monoid gives up after 61 rules, d5's completes: the
+            # inverse letter is refused before either.
+            (["nf", B3, "a'", "--no-inverses"], "a'"),
+            (["nf", D5, "r s'", "--no-inverses"], "s'"),
+            (["eq", B3, "1", "b'", "--no-inverses"], "b'"),
+        ],
+        ids=["nf-gave-up", "nf-converged", "eq-gave-up"],
+    )
+    def test_a_letter_outside_the_encoding_is_refused_before_completion(
+        self, capsys, argv, letter
+    ):
+        assert run(capsys, argv) == (1, "", f'letter "{letter}" is not in the alphabet\n')
 
 
 class TestEnumerate:
@@ -260,6 +301,25 @@ class TestTietze:
         )
         assert code == 0
         assert "order before=5 after=5" in err
+
+    def test_check_order_compares_group_orders(self, capsys, tmp_path):
+        # In the group < a | a^2 = a >, a = 1 already holds: the T2 step that
+        # adds it keeps the order 1.  The positive monoid has 2 elements.
+        plg = tmp_path / "idempotent.plg"
+        plg.write_text("< a | a^2 = a >\n")
+        p = presentations.parse(plg.read_text())
+        witness = tietze.synthesize_witness(p, p.word("a"), p.word("1"))
+        assert witness is not None
+        script = tmp_path / "collapse.tz"
+        script.write_text(f"T2 r2 : a = 1 WITNESS {model.format_derivation(witness)}\n")
+        code, out, err = run(capsys, ["tietze", str(plg), str(script), "--check-order"])
+        assert (code, out, err) == (0, "< a | a^2 = a, a = 1 >\n", "order before=1 after=1\n")
+
+    @pytest.mark.parametrize("flag", [["--no-inverses"], ["--precedence", "a"]])
+    def test_the_order_check_takes_no_encoding_flags(self, capsys, flag):
+        code, out, err = run(capsys, ["tietze", Z5, Z5_ROUNDTRIP, "--check-order", *flag])
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_check_order_abstains_when_either_side_diverges(self, capsys, tmp_path):
         script = tmp_path / "extend.tz"
@@ -396,6 +456,40 @@ class TestUsage:
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, "")
         assert f"argument {argv[-2]}: expected an integer >= 0, got '{argv[-1]}'" in err
+
+    def test_every_command_keeps_its_flags_and_defaults(self):
+        # Parents share their actions, so a default set for eq alone would
+        # reach every command: each command is parsed before and after all
+        # the others.
+        encoding = {"precedence": None, "no_inverses": False}
+        limits = {"max_rules": 4096, "max_len": 64, "max_steps": 10**6}
+        cases = [
+            (["parse", "F"], {}),
+            (["complete", "F"], {**encoding, **limits, "output": None}),
+            (["nf", "F", "w"], {**encoding, **limits, "word": "w"}),
+            (["eq", "F", "u", "v"], {**encoding, **limits, "max_rules": 512,
+                                     "json": False, "radius": 4, "left": "u", "right": "v"}),
+            (["enumerate", "F"], {**encoding, **limits, "cap": 10000, "json": False}),
+            (["tietze", "F", "S"], {**limits, "cap": 10000, "json": False,
+                                    "script": "S", "check_order": False}),
+            (["cayley", "graph", "F", "--format", "dot"],
+             {**encoding, **limits, "cap": 10000, "format": "dot", "kind": "graph"}),
+            (["cayley", "complex", "F", "--format", "json"],
+             {**encoding, **limits, "cap": 10000, "format": "json", "homology": False,
+              "kind": "complex"}),
+        ]
+        parser = cli._build_parser()
+        for argv, want in cases + cases[::-1]:
+            got = vars(parser.parse_args(argv))
+            handler = got.pop("handler")
+            assert got == {"command": argv[0], "file": "F", **want}, argv
+            assert handler.__name__ == "_cmd_" + "_".join(argv[: 2 if argv[0] == "cayley" else 1])
+        assert vars(parser.parse_args(["eq", "F", "u", "v", "--max-rules", "9"]))["max_rules"] == 9
+        assert vars(parser.parse_args(["nf", "F", "w"]))["max_rules"] == 4096
+        # An empty --precedence keeps declaration order; a list of none is refused later.
+        assert parser.parse_args(["nf", "F", "w", "--precedence", " b, a ,"]).precedence == ["b", "a"]
+        assert parser.parse_args(["nf", "F", "w", "--precedence", ""]).precedence is None
+        assert parser.parse_args(["nf", "F", "w", "--precedence", ","]).precedence == []
 
     def test_unknown_flags_are_usage_errors(self, capsys):
         assert run(capsys, ["parse", B3, "--wat"])[0] == 1
